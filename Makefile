@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short bench bench-baseline bench-check docs fmt vet staticcheck cover smoke timeline-smoke cluster-smoke obs-smoke loadtest check
+.PHONY: build test test-short stress bench bench-baseline bench-check docs fmt vet staticcheck cover smoke timeline-smoke cluster-smoke obs-smoke loadtest check
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,11 @@ test:
 
 test-short:
 	$(GO) test -short -race ./...
+
+# Concurrency stress, as run by CI's stress job: the goroutine-heavy
+# packages repeated under the race detector.
+stress:
+	$(GO) test -race -count=10 ./internal/stream/ ./internal/fleet/ ./internal/serve/ ./internal/cluster/
 
 # Full driver-by-driver benchmarks plus the serial-vs-parallel suite
 # comparison. Narrow with e.g. BENCH='FullSuite'.

@@ -216,8 +216,7 @@ func BenchmarkAblationFanoutConstraint(b *testing.B) {
 		unconstrained bool
 	}{{"simplex", false}, {"unconstrained", true}} {
 		b.Run(tc.name, func(b *testing.B) {
-			cfg := core.DefaultFanoutConfig()
-			cfg.Unconstrained = tc.unconstrained
+			cfg := core.FanoutConfig{Unconstrained: tc.unconstrained}
 			var mre float64
 			for i := 0; i < b.N; i++ {
 				est, err := core.EstimateFanouts(s.EU.Rt, loads, cfg)
@@ -415,7 +414,7 @@ func streamResolveSetup(b *testing.B) (in *core.Instance, prior, prev linalg.Vec
 			streamResolveErr = err
 			return
 		}
-		prev, _, err := core.EntropyFrom(in0, core.Gravity(in0), streamReg, nil, streamIter, streamTol)
+		prev, _, err := core.EntropyWith(in0, core.Gravity(in0), streamReg, core.Opts{MaxIter: streamIter, Tol: streamTol})
 		if err != nil {
 			streamResolveErr = err
 			return
@@ -452,7 +451,7 @@ func benchStreamResolve(b *testing.B, warm bool) {
 	b.ResetTimer()
 	var iters int
 	for i := 0; i < b.N; i++ {
-		_, n, err := core.EntropyFrom(in, prior, streamReg, x0, streamIter, streamTol)
+		_, n, err := core.EntropyWith(in, prior, streamReg, core.Opts{X0: x0, MaxIter: streamIter, Tol: streamTol})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -99,16 +99,14 @@ func run(ctx context.Context, path, methods string, reg float64, window int, sig
 		case "fanout":
 			var fe *core.FanoutEstimate
 			loads := sc.LoadSeries(start, window)
-			if fe, err = core.EstimateFanouts(sc.Rt, loads, core.DefaultFanoutConfig()); err == nil {
+			if fe, err = core.EstimateFanouts(sc.Rt, loads, core.FanoutConfig{}); err == nil {
 				out.est = fe.MeanDemand
 				out.truth = sc.Series.MeanDemand(start, window)
 				out.thresh = core.ShareThreshold(out.truth, 0.9)
 			}
 		case "vardi":
 			loads := sc.LoadSeries(start, window)
-			out.est, err = core.Vardi(sc.Rt, loads, core.VardiConfig{
-				SigmaInv2: sigmaInv2, MaxIter: 30000, Tol: 1e-9,
-			})
+			out.est, err = core.Vardi(sc.Rt, loads, core.VardiConfig{SigmaInv2: sigmaInv2})
 		default:
 			return out, fmt.Errorf("unknown method %q", method)
 		}

@@ -170,8 +170,11 @@ func TestMETHODSCoverage(t *testing.T) {
 	doc := string(methods)
 	entryPoints := []string{
 		"core.Gravity", "core.GeneralizedGravity", "core.GravityFromTotals",
-		"core.Kruithof", "core.Vardi", "core.Entropy", "core.Bayesian",
-		"core.EstimateFanouts", "core.WorstCaseBounds",
+		"core.Kruithof", "core.KruithofGeneral", "core.GravityFanouts",
+		"core.Vardi", "core.VardiWith", "core.Entropy", "core.EntropyWith",
+		"core.Bayesian", "core.BayesianWith", "core.BayesianNNLS",
+		"core.EstimateFanouts", "core.EstimateFanoutsWith",
+		"core.WorstCaseBounds", "core.WorstCaseBoundsCold",
 		"core.DirectMeasurementCurve", "core.IterativeBayesian", "core.Cao",
 		"core.MRE", "core.ShareThreshold",
 	}

@@ -71,7 +71,7 @@ func run(region string) error {
 	}
 	fmt.Printf("%-28s MRE %.3f\n", "bayes w. WCB prior", score(bayesWCB))
 
-	fan, err := core.EstimateFanouts(sc.Rt, sc.LoadSeries(start, 20), core.DefaultFanoutConfig())
+	fan, err := core.EstimateFanouts(sc.Rt, sc.LoadSeries(start, 20), core.FanoutConfig{})
 	if err != nil {
 		return err
 	}

@@ -55,47 +55,13 @@ func Cao(rt *topology.Routing, loads []linalg.Vector, cfg CaoConfig) (linalg.Vec
 	tHat := stats.MeanVector(loads)
 	cov := stats.CovarianceMatrix(loads)
 
-	// Second-moment structure, reused across rounds: row per unordered link
-	// pair (i,j) with support = demands crossing both, each entry carrying
-	// the R_ip·R_jp routing coefficient (1 on single-path 0/1 matrices,
-	// fractional under ECMP).
-	type momentKey = [2]int
-	momentRow := map[momentKey]int{}
-	next := 0
-	var entries []struct {
-		row, pair int
-		coeff     float64
-	}
-	// Per-demand link sets and fractions via the transposed routing matrix
-	// (O(nnz), not an O(L·P) dense scan — same assembly speedup as Vardi).
-	rT := rt.R.T()
-	var links []int
-	var vals []float64
-	for pair := 0; pair < p; pair++ {
-		links = links[:0]
-		vals = vals[:0]
-		rT.Row(pair, func(c int, v float64) {
-			links = append(links, c)
-			vals = append(vals, v)
-		})
-		for a := 0; a < len(links); a++ {
-			for c := a; c < len(links); c++ {
-				key := momentKey{links[a], links[c]}
-				row, ok := momentRow[key]
-				if !ok {
-					row = next
-					momentRow[key] = row
-					next++
-				}
-				entries = append(entries, struct {
-					row, pair int
-					coeff     float64
-				}{row, pair, vals[a] * vals[c]})
-			}
-		}
-	}
+	// Second-moment structure, reused across rounds: the same rows as
+	// Vardi's (momentRows), one per unordered link pair (i,j) with
+	// support = demands crossing both.
+	keys, entries := momentRows(rt.R)
+	next := len(keys)
 	rhs2 := linalg.NewVector(next)
-	for key, row := range momentRow {
+	for row, key := range keys {
 		rhs2[row] = cov.At(key[0], key[1])
 	}
 
@@ -139,7 +105,7 @@ func Cao(rt *topology.Routing, loads []linalg.Vector, cfg CaoConfig) (linalg.Vec
 		// Each round's linearized system is a different matrix, so the
 		// cached operator norm never applies — drop it explicitly.
 		ws.InvalidateOperator()
-		nextLam, res := solver.LeastSquaresNonnegWS(&ws, sys, rhs, nil, 0, lam, cfg.MaxIter, cfg.Tol)
+		nextLam, res := solver.LeastSquaresNonneg(&ws, sys, rhs, nil, 0, lam, cfg.MaxIter, cfg.Tol)
 		if !nextLam.AllFinite() {
 			return nil, fmt.Errorf("core: Cao diverged at round %d (%d iters)", round, res.Iterations)
 		}

@@ -71,7 +71,7 @@ func DirectMeasurementCurve(in *Instance, truth linalg.Vector, prior linalg.Vect
 		if len(measured) > 0 {
 			inst = MeasuredInstance(in, measured)
 		}
-		s, res := solver.EntropyRegularizedFrom(inst.Rt.R, inst.Loads, prior, 1/reg, warm, searchIter, searchTol)
+		s, res := solver.EntropyRegularized(nil, inst.Rt.R, inst.Loads, prior, 1/reg, warm, searchIter, searchTol)
 		if !s.AllFinite() {
 			return nil, fmt.Errorf("core: entropy solve diverged (%d iters)", res.Iterations)
 		}

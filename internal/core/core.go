@@ -21,9 +21,10 @@ import (
 // paper's notation are observable.
 //
 // An Instance is read-only after construction, and every estimation
-// method in this package allocates its own scratch state per call — so a
-// single Instance may be shared freely by concurrent estimator calls
-// (the experiment engine in internal/runner relies on this).
+// method in this package allocates its own scratch state per call unless
+// handed a Workspace — so a single Instance may be shared freely by
+// concurrent estimator calls (the experiment engine in internal/runner
+// relies on this).
 type Instance struct {
 	Rt    *topology.Routing
 	Loads linalg.Vector
@@ -96,14 +97,28 @@ func MRE(estimate, truth linalg.Vector, threshold float64) float64 {
 // demands). It returns the largest threshold whose exceeders carry at least
 // share of the total.
 func ShareThreshold(truth linalg.Vector, share float64) float64 {
-	s := append(linalg.Vector(nil), truth...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(s)))
-	total := s.Sum()
+	return new(Workspace).ShareThreshold(truth, share)
+}
+
+// ShareThreshold is the package-level ShareThreshold sorting into
+// workspace scratch, so a caller that recomputes the threshold every
+// interval (internal/stream) stops allocating. The copy is sorted
+// ascending and both passes (the total and the running prefix) walk it
+// backwards, summing in descending order.
+func (ws *Workspace) ShareThreshold(truth linalg.Vector, share float64) float64 {
+	s := fbuf(&ws.share, len(truth))
+	copy(s, truth)
+	sort.Float64s(s)
+	var total float64
+	for i := len(s) - 1; i >= 0; i-- {
+		total += s[i]
+	}
 	if total <= 0 {
 		return 0
 	}
 	var run float64
-	for _, v := range s {
+	for i := len(s) - 1; i >= 0; i-- {
+		v := s[i]
 		run += v
 		if run >= share*total {
 			// Everything >= v is in; a threshold a hair below v keeps v.

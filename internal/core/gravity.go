@@ -15,9 +15,7 @@ import (
 // which is why it serves as a prior for the regularized methods rather than
 // as an estimator of its own.
 func Gravity(in *Instance) linalg.Vector {
-	te := in.IngressTotals()
-	tx := in.EgressTotals()
-	return gravityFrom(in, te, tx, nil)
+	return GeneralizedGravity(in, nil)
 }
 
 // GeneralizedGravity is the peering-aware variant (§4.1): traffic between
@@ -25,33 +23,20 @@ func Gravity(in *Instance) linalg.Vector {
 // form, renormalized to the measured total. peers[n] marks PoP n as a
 // peering point.
 func GeneralizedGravity(in *Instance, peers map[int]bool) linalg.Vector {
-	te := in.IngressTotals()
-	tx := in.EgressTotals()
-	return gravityFrom(in, te, tx, peers)
-}
-
-func gravityFrom(in *Instance, te, tx linalg.Vector, peers map[int]bool) linalg.Vector {
-	return GravityFromTotals(in.Rt.Net, te, tx, peers)
+	return GravityFromTotals(nil, in.Rt.Net, in.IngressTotals(), in.EgressTotals(), peers)
 }
 
 // GravityFromTotals computes the (generalized) gravity estimate of eq. (5)
 // directly from per-PoP ingress totals te(n) and egress totals tx(m),
 // without materializing an Instance. It is the kernel shared by Gravity /
-// GeneralizedGravity and by internal/stream's incremental estimator, which
-// maintains te and tx as running sums over a sliding window of collected
-// intervals — sharing the arithmetic is what lets the incremental estimate
-// match a batch solve bit-for-bit (up to the running sums themselves).
-// peers may be nil.
-func GravityFromTotals(net *topology.Network, te, tx linalg.Vector, peers map[int]bool) linalg.Vector {
-	return GravityFromTotalsInto(nil, net, te, tx, peers)
-}
-
-// GravityFromTotalsInto is GravityFromTotals writing into dst, which is
-// used when it has exactly NumPairs elements and reallocated otherwise
-// (nil dst always allocates). The arithmetic — fill order, totals,
-// normalization — is identical to GravityFromTotals, so reusing a buffer
-// cannot perturb an estimate.
-func GravityFromTotalsInto(dst linalg.Vector, net *topology.Network, te, tx linalg.Vector, peers map[int]bool) linalg.Vector {
+// GeneralizedGravity, GravityWS and internal/stream's incremental
+// estimator, which maintains te and tx as running sums over a sliding
+// window of collected intervals — sharing the arithmetic is what lets the
+// incremental estimate match a batch solve bit-for-bit (up to the running
+// sums themselves). peers may be nil. The estimate is written into dst
+// when it has exactly NumPairs elements; otherwise (nil dst included) a
+// fresh vector is allocated. Reusing a buffer cannot perturb an estimate.
+func GravityFromTotals(dst linalg.Vector, net *topology.Network, te, tx linalg.Vector, peers map[int]bool) linalg.Vector {
 	n := net.NumPoPs()
 	s := dst
 	if len(s) != net.NumPairs() {

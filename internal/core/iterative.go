@@ -31,6 +31,7 @@ func IterativeBayesian(in *Instance, prior linalg.Vector, cfg IterativeBayesianC
 		return nil, 0, fmt.Errorf("core: IterativeBayesian needs at least one round")
 	}
 	cur := prior.Clone()
+	o := Opts{WS: NewWorkspace(nil)} // every round solves against the same R
 	for round := 0; round < cfg.Rounds; round++ {
 		inst := in
 		if cfg.Snapshots != nil {
@@ -40,7 +41,7 @@ func IterativeBayesian(in *Instance, prior linalg.Vector, cfg IterativeBayesianC
 				return nil, round, err
 			}
 		}
-		next, err := Bayesian(inst, cur, cfg.Reg)
+		next, _, err := BayesianWith(inst, cur, cfg.Reg, o)
 		if err != nil {
 			return nil, round, err
 		}

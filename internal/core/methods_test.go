@@ -110,7 +110,7 @@ func TestBoundsWidthNonNegative(t *testing.T) {
 func TestEstimateFanoutsRecoversDemands(t *testing.T) {
 	f := europe(t)
 	loads := f.loadSeries(10)
-	est, err := EstimateFanouts(f.rt, loads, DefaultFanoutConfig())
+	est, err := EstimateFanouts(f.rt, loads, FanoutConfig{})
 	if err != nil {
 		t.Fatalf("EstimateFanouts: %v", err)
 	}
@@ -145,7 +145,7 @@ func TestFanoutWindowLengthHelps(t *testing.T) {
 	// that same snapshot, so it scores deceptively well on its own noise.)
 	f := europe(t)
 	mreAt := func(k int) float64 {
-		est, err := EstimateFanouts(f.rt, f.loadSeries(k), DefaultFanoutConfig())
+		est, err := EstimateFanouts(f.rt, f.loadSeries(k), FanoutConfig{})
 		if err != nil {
 			t.Fatalf("EstimateFanouts(%d): %v", k, err)
 		}
@@ -161,7 +161,7 @@ func TestFanoutWindowLengthHelps(t *testing.T) {
 
 func TestEstimateFanoutsRejectsEmpty(t *testing.T) {
 	f := europe(t)
-	if _, err := EstimateFanouts(f.rt, nil, DefaultFanoutConfig()); err == nil {
+	if _, err := EstimateFanouts(f.rt, nil, FanoutConfig{}); err == nil {
 		t.Fatal("expected error for empty series")
 	}
 }
@@ -198,11 +198,11 @@ func TestVardiStrongPoissonFaithIsWorse(t *testing.T) {
 	loads := f.loadSeries(50)
 	mean := f.series.MeanDemand(f.start, 50)
 	th := ShareThreshold(mean, 0.9)
-	weak, err := Vardi(f.rt, loads, VardiConfig{SigmaInv2: 0.01, MaxIter: 30000, Tol: 1e-9})
+	weak, err := Vardi(f.rt, loads, VardiConfig{SigmaInv2: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
-	strong, err := Vardi(f.rt, loads, VardiConfig{SigmaInv2: 1, MaxIter: 30000, Tol: 1e-9})
+	strong, err := Vardi(f.rt, loads, VardiConfig{SigmaInv2: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestVardiOnSyntheticPoissonImprovesWithWindow(t *testing.T) {
 		for i := range demands {
 			loads[i] = f.rt.LinkLoads(demands[i])
 		}
-		lam, err := Vardi(f.rt, loads, VardiConfig{SigmaInv2: 1, MaxIter: 30000, Tol: 1e-9})
+		lam, err := Vardi(f.rt, loads, VardiConfig{SigmaInv2: 1})
 		if err != nil {
 			t.Fatalf("Vardi: %v", err)
 		}

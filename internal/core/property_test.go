@@ -135,9 +135,7 @@ func TestPropertyFanoutRows(t *testing.T) {
 		}
 		// The simplex projection runs every iteration, so the row-sum
 		// invariant holds at any budget — no need for full convergence.
-		cfg := core.DefaultFanoutConfig()
-		cfg.MaxIter = 2000
-		est, err := core.EstimateFanouts(in.Sc.Rt, in.Loads[:10], cfg)
+		est, err := core.EstimateFanoutsWith(in.Sc.Rt, in.Loads[:10], core.FanoutConfig{}, core.Opts{MaxIter: 2000})
 		if err != nil {
 			t.Fatalf("%s: %v", in.Spec, err)
 		}
@@ -237,7 +235,7 @@ func TestPropertyKruithof(t *testing.T) {
 // tight moment-fit invariant exists there.)
 func TestPropertyVardi(t *testing.T) {
 	for _, in := range instances(t) {
-		lam, iters, err := core.VardiIters(in.Sc.Rt, in.Loads, core.DefaultVardiConfig())
+		lam, iters, err := core.VardiWith(in.Sc.Rt, in.Loads, core.DefaultVardiConfig(), core.Opts{})
 		if err != nil {
 			t.Fatalf("%s: %v", in.Spec, err)
 		}
@@ -246,8 +244,7 @@ func TestPropertyVardi(t *testing.T) {
 		}
 		checkNonNegFinite(t, in.Spec+"/vardi", lam)
 
-		first, _, err := core.VardiIters(in.Sc.Rt, in.Loads,
-			core.VardiConfig{SigmaInv2: 0, MaxIter: 30000, Tol: 1e-9})
+		first, _, err := core.VardiWith(in.Sc.Rt, in.Loads, core.VardiConfig{SigmaInv2: 0}, core.Opts{})
 		if err != nil {
 			t.Fatalf("%s: %v", in.Spec, err)
 		}

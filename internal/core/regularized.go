@@ -24,26 +24,39 @@ const (
 // values trust the prior, large values trust the link measurements. Solved
 // with accelerated projected gradient (FISTA).
 func Bayesian(in *Instance, prior linalg.Vector, reg float64) (linalg.Vector, error) {
-	x, _, err := BayesianFrom(in, prior, reg, nil, regIter, regTol)
+	x, _, err := BayesianWith(in, prior, reg, Opts{})
 	return x, err
 }
 
-// BayesianFrom is Bayesian with an explicit starting iterate x0 (nil
-// starts from the prior), an explicit iteration budget and stopping
-// tolerance, and the consumed FISTA iteration count exposed. The MAP
-// objective is strongly convex, so the solution is independent of x0;
-// note that FISTA's momentum makes a warm start shorten the *distance*
-// to the fixed point without reliably shortening the iteration count —
-// streaming re-solves (internal/stream) get their warm-start iteration
-// savings from the entropy and fanout solvers, and use this entry point
-// for its budget control and telemetry.
-func BayesianFrom(in *Instance, prior linalg.Vector, reg float64, x0 linalg.Vector, maxIter int, tol float64) (linalg.Vector, int, error) {
+// BayesianWith is Bayesian under explicit Opts (workspace, starting
+// iterate — nil starts from the prior — and budget, by default
+// regIter/regTol), returning the consumed FISTA iteration count too. The
+// MAP objective is strongly convex, so the solution is independent of
+// the start; note that FISTA's momentum makes a warm start shorten the
+// *distance* to the fixed point without reliably shortening the
+// iteration count — streaming re-solves (internal/stream) get their
+// warm-start iteration savings from the entropy and fanout solvers, and
+// use this entry point for its budget control and telemetry.
+func BayesianWith(in *Instance, prior linalg.Vector, reg float64, o Opts) (linalg.Vector, int, error) {
+	return regularizedWith("Bayesian", solver.LeastSquaresNonneg, in, prior, reg, o)
+}
+
+// regSolver is the signature solver.EntropyRegularized and
+// solver.LeastSquaresNonneg share: w weights the penalty on the distance
+// to the prior.
+type regSolver func(ws *solver.Workspace, a solver.LinOp, b, prior linalg.Vector, w float64, x0 linalg.Vector, maxIter int, tol float64) (linalg.Vector, solver.FISTAResult)
+
+// regularizedWith is the solve behind EntropyWith and BayesianWith: both
+// weight the prior penalty by 1/reg against the link loads of in, and
+// differ only in the solver.
+func regularizedWith(method string, solve regSolver, in *Instance, prior linalg.Vector, reg float64, o Opts) (linalg.Vector, int, error) {
 	if reg <= 0 {
-		return nil, 0, fmt.Errorf("core: Bayesian needs positive regularization, got %v", reg)
+		return nil, 0, fmt.Errorf("core: %s needs positive regularization, got %v", method, reg)
 	}
-	x, res := solver.LeastSquaresNonneg(in.Rt.R, in.Loads, prior, 1/reg, x0, maxIter, tol)
+	ws, maxIter, tol := o.resolve(regIter, regTol)
+	x, res := solve(ws.solverWS(in.Rt.R), in.Rt.R, in.Loads, prior, 1/reg, o.X0, maxIter, tol)
 	if !x.AllFinite() {
-		return nil, 0, fmt.Errorf("core: Bayesian produced non-finite estimate (%d iters)", res.Iterations)
+		return nil, 0, fmt.Errorf("core: %s produced non-finite estimate (%d iters)", method, res.Iterations)
 	}
 	return x, res.Iterations, nil
 }
@@ -80,35 +93,21 @@ func BayesianNNLS(in *Instance, prior linalg.Vector, reg float64) (linalg.Vector
 // with reg = σ² the regularization parameter. Solved by forward–backward
 // splitting with an exact per-coordinate KL proximal step.
 func Entropy(in *Instance, prior linalg.Vector, reg float64) (linalg.Vector, error) {
-	x, _, err := EntropyBudget(in, prior, reg, regIter, regTol)
+	x, _, err := EntropyWith(in, prior, reg, Opts{})
 	return x, err
 }
 
-// EntropyBudget is Entropy with an explicit iteration budget and stopping
-// tolerance, and the consumed iteration count exposed. Large-backbone
-// evaluations (internal/scenario) trade the last digits of convergence
-// for bounded runtime on 10k-demand instances; the defaults used by
-// Entropy itself are regIter/regTol.
-func EntropyBudget(in *Instance, prior linalg.Vector, reg float64, maxIter int, tol float64) (linalg.Vector, int, error) {
-	return EntropyFrom(in, prior, reg, nil, maxIter, tol)
-}
-
-// EntropyFrom is EntropyBudget with an explicit starting iterate x0 (nil
-// starts from the prior, as Entropy does). The objective is strictly
-// convex on the prior's support, so the fixed point does not depend on
-// x0 — only the iteration count does. Streaming re-solves over a slowly
-// drifting window (internal/stream) warm-start each solve from the
-// previous published estimate and converge in a fraction of the
-// cold-start iterations.
-func EntropyFrom(in *Instance, prior linalg.Vector, reg float64, x0 linalg.Vector, maxIter int, tol float64) (linalg.Vector, int, error) {
-	if reg <= 0 {
-		return nil, 0, fmt.Errorf("core: Entropy needs positive regularization, got %v", reg)
-	}
-	x, res := solver.EntropyRegularizedFrom(in.Rt.R, in.Loads, prior, 1/reg, x0, maxIter, tol)
-	if !x.AllFinite() {
-		return nil, 0, fmt.Errorf("core: Entropy produced non-finite estimate (%d iters)", res.Iterations)
-	}
-	return x, res.Iterations, nil
+// EntropyWith is Entropy under explicit Opts, returning the consumed
+// iteration count too. The default budget is regIter/regTol;
+// large-backbone evaluations (internal/scenario) trade the last digits of
+// convergence for bounded runtime on 10k-demand instances. A nil X0
+// starts from the prior. The objective is strictly convex on the prior's
+// support, so the fixed point does not depend on the start — only the
+// iteration count does: streaming re-solves over a slowly drifting window
+// (internal/stream) warm-start each solve from the previous published
+// estimate and converge in a fraction of the cold-start iterations.
+func EntropyWith(in *Instance, prior linalg.Vector, reg float64, o Opts) (linalg.Vector, int, error) {
+	return regularizedWith("Entropy", solver.EntropyRegularized, in, prior, reg, o)
 }
 
 // Kruithof adjusts a prior traffic matrix to be consistent with the

@@ -1,15 +1,11 @@
 package core
 
 import (
-	"fmt"
-	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/linalg"
 	"repro/internal/solver"
 	"repro/internal/sparse"
-	"repro/internal/stats"
 	"repro/internal/topology"
 )
 
@@ -23,9 +19,9 @@ import (
 //
 // A SolveCache is safe for concurrent use. Cached matrices are only ever
 // read after construction, so sharing them between concurrently solving
-// tenants is safe. All cached floats are computed by the same deterministic
-// code paths as the uncached entry points, so serving a value from the
-// cache never changes a solver's output bits.
+// tenants is safe. Every cached float is computed by the same
+// deterministic code whichever workspace first asks for it, so serving a
+// value from the cache never changes a solver's output bits.
 type SolveCache struct {
 	mu  sync.Mutex
 	ops []*cachedOp
@@ -116,9 +112,7 @@ func (c *SolveCache) OpNormSq(m *sparse.Matrix) float64 {
 }
 
 // vardiFor returns the cached moment assembly for (m, w), building it on
-// first use. The assembly reproduces VardiFrom's construction exactly:
-// per-demand link sets off the transpose, moment rows indexed in first-use
-// order, the stacked system [R; w·second].
+// first use.
 func (c *SolveCache) vardiFor(m *sparse.Matrix, w float64) *vardiAssembly {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -135,58 +129,74 @@ func (c *SolveCache) vardiFor(m *sparse.Matrix, w float64) *vardiAssembly {
 }
 
 // buildVardiAssembly assembles the window-independent part of Vardi's
-// stacked moment system for routing matrix r and weight w.
+// stacked moment system for routing matrix r and weight w: the
+// second-moment rows of momentRows, scaled by w and stacked under r.
 func buildVardiAssembly(sw *solver.Workspace, r *sparse.Matrix, w float64) *vardiAssembly {
+	keys, entries := momentRows(r)
+	b := sparse.NewBuilder(len(keys), r.Cols())
+	b.Grow(len(entries))
+	for _, e := range entries {
+		b.Add(e.row, e.pair, e.coeff)
+	}
+	stacked := sparse.VStack(r, b.Build().Scale(w))
+	return &vardiAssembly{
+		keys:    keys,
+		stacked: stacked,
+		normSq:  sw.OperatorNormSq(stacked),
+	}
+}
+
+// momentEntry is one coefficient R_ip·R_jp of a second-moment row: row
+// indexes the unordered link pair (i, j), pair the demand crossing both.
+type momentEntry struct {
+	row, pair int
+	coeff     float64
+}
+
+// momentRows enumerates the second-moment conditions shared by Vardi and
+// Cao: for each unordered link pair (i <= j) the model says
+// Σ_p R_ip·R_jp·v_p = Σ̂_ij, where v_p is the demand's variance. A demand
+// contributes to row (i, j) only if its path crosses both links, so the
+// rows come from per-demand link sets read off the transposed routing
+// matrix in O(nnz) rather than by an O(L·P) dense scan, which keeps
+// assembly sub-second at 100+ PoPs. The transpose also carries the entry
+// values, so fractional (ECMP) routing matrices get their correct
+// R_ip·R_jp coefficients; on 0/1 single-path matrices the products are
+// exactly 1. Rows are numbered in first-use order and keys[row] is the
+// row's link pair.
+func momentRows(r *sparse.Matrix) (keys [][2]int, entries []momentEntry) {
 	p := r.Cols()
-	rT := r.T()
+	rT := r.T() // p×l: row pair -> (link, fraction) in ascending link order
 	total := 0
 	for pair := 0; pair < p; pair++ {
 		k := rT.RowNNZ(pair)
 		total += k * (k + 1) / 2
 	}
 	momentRow := make(map[[2]int]int, total/4)
-	next := 0
-	type entry struct {
-		row, pair int
-		coeff     float64
-	}
-	entries := make([]entry, 0, total)
-	var keys [][2]int
+	entries = make([]momentEntry, 0, total)
 	var links []int
 	var vals []float64
 	for pair := 0; pair < p; pair++ {
 		links = links[:0]
 		vals = vals[:0]
-		rT.Row(pair, func(cc int, v float64) {
-			links = append(links, cc)
+		rT.Row(pair, func(c int, v float64) {
+			links = append(links, c)
 			vals = append(vals, v)
 		})
 		for a := 0; a < len(links); a++ {
-			for cc := a; cc < len(links); cc++ {
-				key := [2]int{links[a], links[cc]}
+			for c := a; c < len(links); c++ {
+				key := [2]int{links[a], links[c]}
 				row, ok := momentRow[key]
 				if !ok {
-					row = next
+					row = len(keys)
 					momentRow[key] = row
 					keys = append(keys, key)
-					next++
 				}
-				entries = append(entries, entry{row, pair, vals[a] * vals[cc]})
+				entries = append(entries, momentEntry{row, pair, vals[a] * vals[c]})
 			}
 		}
 	}
-	b := sparse.NewBuilder(next, p)
-	b.Grow(len(entries))
-	for _, e := range entries {
-		b.Add(e.row, e.pair, e.coeff)
-	}
-	second := b.Build()
-	stacked := sparse.VStack(r, second.Scale(w))
-	return &vardiAssembly{
-		keys:    keys,
-		stacked: stacked,
-		normSq:  sw.OperatorNormSq(stacked),
-	}
+	return keys, entries
 }
 
 // Workspace bundles the per-engine scratch state of the estimation
@@ -198,17 +208,17 @@ func buildVardiAssembly(sw *solver.Workspace, r *sparse.Matrix, w float64) *vard
 // Like solver.Workspace, a core Workspace serves one solving goroutine at
 // a time; the streaming engine owns one per engine and reuses it across
 // its periodic re-solves, which is what makes the steady-state resolve
-// loop allocation-free. Every *WS entry point accepts a nil workspace and
-// then matches its workspace-free counterpart exactly — including the
-// output bits, since a workspace only changes where scratch lives, never
-// the arithmetic.
+// loop allocation-free. Pass one through Opts.WS; a nil Opts.WS solves on
+// a fresh private workspace. A workspace only changes where scratch
+// lives, never the arithmetic, so the output bits are the same with a
+// fresh, a reused or a cache-sharing workspace.
 type Workspace struct {
 	sw    solver.Workspace
 	cache *SolveCache
 
 	te, tx linalg.Vector // marginal-total scratch
 	prior  linalg.Vector // GravityWS output buffer
-	share  []float64     // ShareThresholdWS sorting scratch
+	share  []float64     // ShareThreshold sorting scratch
 
 	// Vardi staging: sample moments and the stacked right-hand side.
 	tHat    linalg.Vector
@@ -239,15 +249,6 @@ func NewWorkspace(cache *SolveCache) *Workspace {
 	return &Workspace{cache: cache}
 }
 
-// Solver exposes the underlying solver workspace (for callers that drive
-// the solver package directly with the same buffers).
-func (ws *Workspace) Solver() *solver.Workspace {
-	if ws == nil {
-		return nil
-	}
-	return &ws.sw
-}
-
 // Cache returns the workspace's SolveCache.
 func (ws *Workspace) Cache() *SolveCache {
 	if ws == nil {
@@ -256,12 +257,43 @@ func (ws *Workspace) Cache() *SolveCache {
 	return ws.cache
 }
 
-// solverWS returns the embedded solver workspace primed so that solving
-// against op skips the power method, and nil for a nil receiver.
-func (ws *Workspace) solverWS(op *sparse.Matrix) *solver.Workspace {
+// Opts carries the per-call options of the iterative estimators
+// (EntropyWith, BayesianWith, VardiWith, EstimateFanoutsWith). A zero
+// field keeps the method's default.
+type Opts struct {
+	// WS supplies the scratch buffers and the SolveCache; nil solves on a
+	// fresh private workspace.
+	WS *Workspace
+	// X0 is the starting iterate — the fanout iterate for
+	// EstimateFanoutsWith. Nil keeps the method's cold start. The
+	// objectives are convex, so the start changes the iteration count,
+	// not the fixed point.
+	X0 linalg.Vector
+	// MaxIter caps the solver iterations and Tol is the relative-change
+	// stopping tolerance; zero (or negative) keeps the method's default.
+	MaxIter int
+	Tol     float64
+}
+
+// resolve returns the workspace to solve on (a fresh private one for a
+// nil WS) and the budget, with maxIter and tol filling unset fields.
+func (o Opts) resolve(maxIter int, tol float64) (*Workspace, int, float64) {
+	ws := o.WS
 	if ws == nil {
-		return nil
+		ws = NewWorkspace(nil)
 	}
+	if o.MaxIter > 0 {
+		maxIter = o.MaxIter
+	}
+	if o.Tol > 0 {
+		tol = o.Tol
+	}
+	return ws, maxIter, tol
+}
+
+// solverWS returns the embedded solver workspace primed so that solving
+// against op skips the power method.
+func (ws *Workspace) solverWS(op *sparse.Matrix) *solver.Workspace {
 	ws.sw.Prime(op, ws.cache.OpNormSq(op))
 	return &ws.sw
 }
@@ -286,265 +318,21 @@ func fbuf(p *[]float64, n int) []float64 {
 	return *p
 }
 
-// IngressTotals is Instance.IngressTotals writing into the workspace's
-// scratch vector (overwritten by the next call). Nil ws allocates.
-func (ws *Workspace) IngressTotals(in *Instance) linalg.Vector {
-	if ws == nil {
-		return in.IngressTotals()
-	}
-	n := in.Rt.Net.NumPoPs()
-	te := vbuf(&ws.te, n)
-	for pop := 0; pop < n; pop++ {
-		te[pop] = in.Loads[in.Rt.IngressRow(pop)]
-	}
-	return te
-}
-
-// EgressTotals is Instance.EgressTotals into workspace scratch.
-func (ws *Workspace) EgressTotals(in *Instance) linalg.Vector {
-	if ws == nil {
-		return in.EgressTotals()
-	}
-	n := in.Rt.Net.NumPoPs()
-	tx := vbuf(&ws.tx, n)
-	for pop := 0; pop < n; pop++ {
-		tx[pop] = in.Loads[in.Rt.EgressRow(pop)]
-	}
-	return tx
-}
-
 // GravityWS computes the gravity prior like Gravity, drawing the marginal
 // totals AND the returned vector from workspace scratch: the result is
 // overwritten by the next GravityWS call on the same workspace, so a
 // caller that publishes or otherwise retains the prior beyond one solve
 // must Clone it (the regularized solvers only read the prior during the
-// solve, which is the intended use). Nil ws allocates everything fresh.
+// solve, which is the intended use). Nil ws is exactly Gravity.
 func GravityWS(ws *Workspace, in *Instance) linalg.Vector {
-	te := ws.IngressTotals(in)
-	tx := ws.EgressTotals(in)
 	if ws == nil {
-		return GravityFromTotals(in.Rt.Net, te, tx, nil)
+		return Gravity(in)
 	}
-	return GravityFromTotalsInto(vbuf(&ws.prior, in.Rt.Net.NumPairs()), in.Rt.Net, te, tx, nil)
-}
-
-// EntropyFromWS is EntropyFrom solving out of ws: solver buffers reused,
-// operator norm served from the cache. Nil ws is exactly EntropyFrom.
-func EntropyFromWS(ws *Workspace, in *Instance, prior linalg.Vector, reg float64, x0 linalg.Vector, maxIter int, tol float64) (linalg.Vector, int, error) {
-	if reg <= 0 {
-		return nil, 0, fmt.Errorf("core: Entropy needs positive regularization, got %v", reg)
+	n := in.Rt.Net.NumPoPs()
+	te, tx := vbuf(&ws.te, n), vbuf(&ws.tx, n)
+	for pop := 0; pop < n; pop++ {
+		te[pop] = in.Loads[in.Rt.IngressRow(pop)]
+		tx[pop] = in.Loads[in.Rt.EgressRow(pop)]
 	}
-	x, res := solver.EntropyRegularizedFromWS(ws.solverWS(in.Rt.R), in.Rt.R, in.Loads, prior, 1/reg, x0, maxIter, tol)
-	if !x.AllFinite() {
-		return nil, 0, fmt.Errorf("core: Entropy produced non-finite estimate (%d iters)", res.Iterations)
-	}
-	return x, res.Iterations, nil
-}
-
-// BayesianFromWS is BayesianFrom solving out of ws. Nil ws is exactly
-// BayesianFrom.
-func BayesianFromWS(ws *Workspace, in *Instance, prior linalg.Vector, reg float64, x0 linalg.Vector, maxIter int, tol float64) (linalg.Vector, int, error) {
-	if reg <= 0 {
-		return nil, 0, fmt.Errorf("core: Bayesian needs positive regularization, got %v", reg)
-	}
-	x, res := solver.LeastSquaresNonnegWS(ws.solverWS(in.Rt.R), in.Rt.R, in.Loads, prior, 1/reg, x0, maxIter, tol)
-	if !x.AllFinite() {
-		return nil, 0, fmt.Errorf("core: Bayesian produced non-finite estimate (%d iters)", res.Iterations)
-	}
-	return x, res.Iterations, nil
-}
-
-// VardiFromWS is VardiFrom with the moment assembly (transpose traversal,
-// row indexing, stacked system, operator norm) served from the cache and
-// the sample moments, right-hand side and solver buffers drawn from ws.
-// Only the returned estimate is freshly allocated. Nil ws is exactly
-// VardiFrom.
-func VardiFromWS(ws *Workspace, rt *topology.Routing, loads []linalg.Vector, cfg VardiConfig, x0 linalg.Vector) (linalg.Vector, int, error) {
-	if ws == nil {
-		return VardiFrom(rt, loads, cfg, x0)
-	}
-	if len(loads) < 2 {
-		return nil, 0, fmt.Errorf("core: Vardi needs a time series, got %d samples", len(loads))
-	}
-	l := rt.R.Rows()
-	p := rt.R.Cols()
-	for i, t := range loads {
-		if len(t) != l {
-			return nil, 0, fmt.Errorf("core: Vardi sample %d has %d loads, want %d", i, len(t), l)
-		}
-	}
-	tHat := stats.MeanVectorInto(vbuf(&ws.tHat, l), loads)
-	if ws.cov == nil || ws.cov.Rows != l || ws.cov.Cols != l {
-		ws.cov = linalg.NewMatrix(l, l)
-	}
-	cov := stats.CovarianceMatrixInto(ws.cov, vbuf(&ws.covMean, l), vbuf(&ws.covD, l), loads)
-
-	w := 0.0
-	if cfg.SigmaInv2 > 0 {
-		w = math.Sqrt(cfg.SigmaInv2)
-	}
-	asm := ws.cache.vardiFor(rt.R, w)
-	rhs := vbuf(&ws.rhs, l+len(asm.keys))
-	copy(rhs[:l], tHat)
-	for row, key := range asm.keys {
-		rhs[l+row] = w * cov.At(key[0], key[1])
-	}
-	if x0 == nil {
-		x0 = vbuf(&ws.x0, p)
-		x0.Fill(tHat.Sum() / float64(l) / float64(p) * float64(l))
-	} else if len(x0) != p {
-		return nil, 0, fmt.Errorf("core: Vardi warm start has %d demands, want %d", len(x0), p)
-	}
-	ws.sw.Prime(asm.stacked, asm.normSq)
-	lam, res := solver.LeastSquaresNonnegWS(&ws.sw, asm.stacked, rhs, nil, 0, x0, cfg.MaxIter, cfg.Tol)
-	if !lam.AllFinite() {
-		return nil, 0, fmt.Errorf("core: Vardi produced non-finite estimate (%d iters)", res.Iterations)
-	}
-	return lam, res.Iterations, nil
-}
-
-// EstimateFanoutsFromWS is EstimateFanoutsFrom with the per-interval
-// scalings, gradient staging, source groups and simplex-projection
-// scratch drawn from ws and the operator norm served from the cache. The
-// returned estimate's Alpha and MeanDemand are freshly allocated (they
-// are published and retained); everything else is pooled. Nil ws is
-// exactly EstimateFanoutsFrom.
-func EstimateFanoutsFromWS(ws *Workspace, rt *topology.Routing, loads []linalg.Vector, cfg FanoutConfig, alpha0 linalg.Vector) (*FanoutEstimate, error) {
-	if ws == nil {
-		return EstimateFanoutsFrom(rt, loads, cfg, alpha0)
-	}
-	if len(loads) == 0 {
-		return nil, fmt.Errorf("core: EstimateFanouts needs at least one sample")
-	}
-	net := rt.Net
-	p := net.NumPairs()
-	n := net.NumPoPs()
-	k := len(loads)
-
-	// Per-interval source scalings te(src(p))[k], vectors reused across
-	// re-solves (the window length is stable in steady state).
-	if cap(ws.scales) >= k {
-		ws.scales = ws.scales[:k]
-	} else {
-		ws.scales = append(ws.scales[:cap(ws.scales)], make([]linalg.Vector, k-cap(ws.scales))...)
-	}
-	for i, t := range loads {
-		if len(t) != rt.R.Rows() {
-			return nil, fmt.Errorf("core: sample %d has %d loads, want %d", i, len(t), rt.R.Rows())
-		}
-		sc := vbuf(&ws.scales[i], p)
-		for pair := 0; pair < p; pair++ {
-			src, _ := net.PairFromIndex(pair)
-			sc[pair] = t[rt.IngressRow(src)]
-		}
-	}
-	scales := ws.scales
-	// Per-source index groups, rebuilt only when the topology changes.
-	if ws.groupsFor != net {
-		groups := make([][]int, n)
-		for pair := 0; pair < p; pair++ {
-			src, _ := net.PairFromIndex(pair)
-			groups[src] = append(groups[src], pair)
-		}
-		ws.groups, ws.groupsFor = groups, net
-	}
-	groups := ws.groups
-
-	scaled := vbuf(&ws.scaled, p)
-	resid := vbuf(&ws.resid, rt.R.Rows())
-	back := vbuf(&ws.back, p)
-	grad := func(dst, a linalg.Vector) {
-		dst.Zero()
-		for i := 0; i < k; i++ {
-			sc := scales[i]
-			for j := range scaled {
-				scaled[j] = sc[j] * a[j]
-			}
-			rt.R.MulVec(resid, scaled)
-			linalg.Sub(resid, resid, loads[i])
-			rt.R.MulVecT(back, resid)
-			for j := range dst {
-				dst[j] += 2 * sc[j] * back[j]
-			}
-		}
-	}
-	rNorm := ws.cache.OpNormSq(rt.R)
-	var lip float64
-	for i := 0; i < k; i++ {
-		mx, _ := scales[i].Max()
-		lip += 2 * rNorm * mx * mx
-	}
-	project := func(a linalg.Vector) {
-		for _, g := range groups {
-			ws.projectGroupSimplex(a, g)
-		}
-	}
-	if cfg.Unconstrained {
-		project = func(a linalg.Vector) { a.ClampNonNegative() }
-	}
-	var alpha linalg.Vector
-	if alpha0 != nil {
-		if len(alpha0) != p {
-			return nil, fmt.Errorf("core: fanout warm start has %d entries, want %d", len(alpha0), p)
-		}
-		alpha = alpha0.Clone()
-		project(alpha)
-	} else {
-		alpha = linalg.NewVector(p)
-		alpha.Fill(1 / float64(n-1))
-	}
-	alpha, res := solver.FISTAWS(&ws.sw, alpha, grad, lip, project, cfg.MaxIter, cfg.Tol)
-
-	mean := linalg.NewVector(p)
-	for i := 0; i < k; i++ {
-		for j := range mean {
-			mean[j] += scales[i][j] * alpha[j]
-		}
-	}
-	mean.Scale(1 / float64(k))
-	return &FanoutEstimate{Alpha: alpha, MeanDemand: mean, Iterations: res.Iterations}, nil
-}
-
-// projectGroupSimplex is the pooled-scratch twin of the package-level
-// projectGroupSimplex helper.
-func (ws *Workspace) projectGroupSimplex(a linalg.Vector, group []int) {
-	tmp := fbuf(&ws.groupTmp, len(group))
-	for i, j := range group {
-		tmp[i] = a[j]
-	}
-	ws.simplexScratch = solver.ProjectSimplexInto(tmp, 1, ws.simplexScratch)
-	for i, j := range group {
-		a[j] = tmp[i]
-	}
-}
-
-// ShareThresholdWS is ShareThreshold sorting into workspace scratch. The
-// copy is sorted ascending and both passes (the total and the running
-// prefix) walk it backwards, visiting values in exactly the descending
-// order ShareThreshold sums in, so the returned threshold is
-// bit-identical. Nil ws is exactly ShareThreshold.
-func ShareThresholdWS(ws *Workspace, truth linalg.Vector, share float64) float64 {
-	if ws == nil {
-		return ShareThreshold(truth, share)
-	}
-	s := fbuf(&ws.share, len(truth))
-	copy(s, truth)
-	sort.Float64s(s)
-	var total float64
-	for i := len(s) - 1; i >= 0; i-- {
-		total += s[i]
-	}
-	if total <= 0 {
-		return 0
-	}
-	var run float64
-	for i := len(s) - 1; i >= 0; i-- {
-		v := s[i]
-		run += v
-		if run >= share*total {
-			// Everything >= v is in; a threshold a hair below v keeps v.
-			return v * (1 - 1e-12)
-		}
-	}
-	return 0
+	return GravityFromTotals(vbuf(&ws.prior, in.NumPairs()), in.Rt.Net, te, tx, nil)
 }

@@ -215,7 +215,7 @@ func (s *Suite) Table2Summary(ctx context.Context) (*Report, error) {
 		err = s.forEach(ctx, len(fanWindows), func(i int) error {
 			k := fanWindows[i]
 			loads := reg.sc.LoadSeries(reg.start, k)
-			est, err := core.EstimateFanouts(reg.sc.Rt, loads, core.DefaultFanoutConfig())
+			est, err := core.EstimateFanouts(reg.sc.Rt, loads, core.FanoutConfig{})
 			if err != nil {
 				return err
 			}
@@ -238,7 +238,7 @@ func (s *Suite) Table2Summary(ctx context.Context) (*Report, error) {
 		vardiMRE := make([]float64, len(sigmas))
 		err = s.forEach(ctx, len(sigmas), func(i int) error {
 			loads := reg.sc.LoadSeries(reg.start, BusyWindowSamples)
-			lam, err := core.Vardi(reg.sc.Rt, loads, core.VardiConfig{SigmaInv2: sigmas[i], MaxIter: 30000, Tol: 1e-9})
+			lam, err := core.Vardi(reg.sc.Rt, loads, core.VardiConfig{SigmaInv2: sigmas[i]})
 			if err != nil {
 				return err
 			}

@@ -26,13 +26,13 @@ func TestFISTAWSWarmLoopAllocFree(t *testing.T) {
 	project := func(v linalg.Vector) { v.ClampNonNegative() }
 	ws := &Workspace{}
 	x := linalg.NewVector(n)
-	FISTAWS(ws, x, grad, 2, project, 30, 0) // size the buffers
+	FISTA(ws, x, grad, 2, project, 30, 0) // size the buffers
 	allocs := testing.AllocsPerRun(20, func() {
 		x.Zero()
-		FISTAWS(ws, x, grad, 2, project, 30, 0)
+		FISTA(ws, x, grad, 2, project, 30, 0)
 	})
 	if allocs != 0 {
-		t.Errorf("warm FISTAWS allocated %.0f times per solve, want 0", allocs)
+		t.Errorf("warm FISTA allocated %.0f times per solve, want 0", allocs)
 	}
 }
 
@@ -56,10 +56,10 @@ func TestLeastSquaresNonnegWSIterationsDontAllocate(t *testing.T) {
 	}
 	x0 := linalg.NewVector(a.Cols())
 	ws := &Workspace{}
-	LeastSquaresNonnegWS(ws, a, b, nil, 0, x0, 200, 0) // warm buffers + norm cache
+	LeastSquaresNonneg(ws, a, b, nil, 0, x0, 200, 0) // warm buffers + norm cache
 	measure := func(iters int) float64 {
 		return testing.AllocsPerRun(20, func() {
-			LeastSquaresNonnegWS(ws, a, b, nil, 0, x0, iters, 0)
+			LeastSquaresNonneg(ws, a, b, nil, 0, x0, iters, 0)
 		})
 	}
 	short, long := measure(5), measure(200)

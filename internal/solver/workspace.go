@@ -14,8 +14,8 @@ import (
 // safe for concurrent use. Buffers are sized lazily on first use and
 // resized when a larger problem arrives, so one workspace may serve
 // differently sized systems back to back. The zero value is ready to
-// use; every WS entry point also accepts a nil workspace and then
-// behaves exactly like its workspace-free counterpart.
+// use; every solver that takes a workspace also accepts nil and then
+// runs on a fresh private one.
 //
 // Numerical contract: a workspace changes where intermediate values are
 // stored and whether the operator norm is recomputed — never the
@@ -49,11 +49,8 @@ func buf(p *linalg.Vector, n int) linalg.Vector {
 // but reuses the workspace's power-iteration buffers and caches the
 // result per operator identity: repeated calls against the same LinOp
 // value return the first call's float without re-running the power
-// method. A nil receiver falls back to the uncached computation.
+// method.
 func (ws *Workspace) OperatorNormSq(a LinOp) float64 {
-	if ws == nil {
-		return OperatorNormSq(a)
-	}
 	if ws.op == a {
 		return ws.opSq
 	}
@@ -79,129 +76,4 @@ func (ws *Workspace) InvalidateOperator() {
 	if ws != nil {
 		ws.op, ws.opSq = nil, 0
 	}
-}
-
-// FISTAWS is FISTA with the momentum, gradient and previous-iterate
-// buffers drawn from ws (nil ws allocates fresh ones, exactly as FISTA
-// does). The iterate x is still updated in place and returned.
-func FISTAWS(ws *Workspace, x linalg.Vector, grad func(dst, x linalg.Vector), l float64, project func(linalg.Vector), maxIter int, tol float64) (linalg.Vector, FISTAResult) {
-	var y, xPrev, g linalg.Vector
-	if ws != nil {
-		n := len(x)
-		y = buf(&ws.y, n)
-		copy(y, x)
-		xPrev = buf(&ws.xPrev, n)
-		copy(xPrev, x)
-		g = buf(&ws.g, n)
-	} else {
-		y = x.Clone()
-		xPrev = x.Clone()
-		g = linalg.NewVector(len(x))
-	}
-	return fista(x, y, xPrev, g, grad, l, project, maxIter, tol)
-}
-
-// LeastSquaresNonnegWS is LeastSquaresNonneg with its residual and FISTA
-// buffers drawn from ws, and the operator norm served from ws's cache
-// when the same operator is solved repeatedly (the warm re-solve loop).
-// A nil ws behaves exactly like LeastSquaresNonneg.
-func LeastSquaresNonnegWS(ws *Workspace, a LinOp, b linalg.Vector, prior linalg.Vector, damp float64, x0 linalg.Vector, maxIter int, tol float64) (linalg.Vector, FISTAResult) {
-	n := a.Cols()
-	var x linalg.Vector
-	switch {
-	case x0 != nil:
-		x = x0.Clone()
-	case prior != nil:
-		x = prior.Clone()
-	default:
-		x = linalg.NewVector(n)
-	}
-	x.ClampNonNegative()
-	l := 2*ws.OperatorNormSq(a) + 2*damp
-	var r linalg.Vector
-	if ws != nil {
-		r = buf(&ws.r, a.Rows())
-	} else {
-		r = linalg.NewVector(a.Rows())
-	}
-	grad := func(dst, xx linalg.Vector) {
-		a.MulVec(r, xx)
-		linalg.Sub(r, r, b)
-		a.MulVecT(dst, r)
-		dst.Scale(2)
-		if damp > 0 {
-			for i := range dst {
-				p := 0.0
-				if prior != nil {
-					p = prior[i]
-				}
-				dst[i] += 2 * damp * (xx[i] - p)
-			}
-		}
-	}
-	return FISTAWS(ws, x, grad, l, func(v linalg.Vector) { v.ClampNonNegative() }, maxIter, tol)
-}
-
-// EntropyRegularizedFromWS is EntropyRegularizedFrom with the residual,
-// gradient and previous-iterate buffers drawn from ws and the operator
-// norm served from ws's cache. A nil ws behaves exactly like
-// EntropyRegularizedFrom. The returned iterate is always freshly
-// allocated (it is the published estimate), never a workspace buffer.
-func EntropyRegularizedFromWS(ws *Workspace, a LinOp, b linalg.Vector, prior linalg.Vector, tau float64, x0 linalg.Vector, maxIter int, tol float64) (linalg.Vector, FISTAResult) {
-	n := a.Cols()
-	if len(prior) != n {
-		panic("solver: EntropyRegularized prior length mismatch")
-	}
-	var x linalg.Vector
-	if x0 != nil {
-		x = x0.Clone()
-	} else {
-		x = prior.Clone()
-	}
-	x.ClampNonNegative()
-	l := 2 * ws.OperatorNormSq(a)
-	if l <= 0 {
-		l = 1
-	}
-	step := 1 / l
-	eta := step * tau // prox weight on the KL term
-
-	var r, g, xPrev linalg.Vector
-	if ws != nil {
-		r = buf(&ws.r, a.Rows())
-		g = buf(&ws.g, n)
-		xPrev = buf(&ws.xPrev, n)
-	} else {
-		r = linalg.NewVector(a.Rows())
-		g = linalg.NewVector(n)
-		xPrev = linalg.NewVector(n)
-	}
-	res := FISTAResult{}
-	for iter := 0; iter < maxIter; iter++ {
-		copy(xPrev, x)
-		// Forward step on the quadratic part.
-		a.MulVec(r, x)
-		linalg.Sub(r, r, b)
-		a.MulVecT(g, r)
-		for i := range x {
-			z := x[i] - 2*step*g[i]
-			if prior[i] <= 0 {
-				x[i] = 0
-				continue
-			}
-			x[i] = klProx(z, prior[i], eta)
-		}
-		var diff, norm float64
-		for i := range x {
-			d := x[i] - xPrev[i]
-			diff += d * d
-			norm += x[i] * x[i]
-		}
-		res.Iterations = iter + 1
-		if diff <= tol*tol*(norm+1e-30) {
-			res.Converged = true
-			break
-		}
-	}
-	return x, res
 }

@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -135,5 +136,69 @@ func TestDispatchMatchesWorker(t *testing.T) {
 		if d := math.Abs(got.Resolve[p] - want.Resolve[p]); d > 1e-9 {
 			t.Fatalf("demand %d: dispatch %v vs worker %v (diff %g)", p, got.Resolve[p], want.Resolve[p], d)
 		}
+	}
+}
+
+// TestPublishedVersionHasParkedResolve pins the publish/park ordering:
+// once a snapshot is observable, the re-solve its interval scheduled is
+// already parked. An observer spins on the engine's read lock without
+// ever sleeping (TryRLock), so it sees each new snapshot the instant the
+// publisher releases the lock — if parking happened after publishing,
+// the observer would regularly find nothing parked. Every interval
+// schedules a re-solve and the observer drains each one, so every
+// observed interval must find exactly its own work waiting.
+func TestPublishedVersionHasParkedResolve(t *testing.T) {
+	sc, err := netsim.BuildEurope(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := New(sc.Rt, Config{Window: 3, ResolveEvery: 1, ResolveDispatch: func() {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const intervals = 400
+	// Spinning without yielding is what catches a late park on a
+	// multi-core box; on a single CPU the observer must yield so the
+	// publisher can run at all.
+	yield := runtime.GOMAXPROCS(0) == 1
+	observed := make(chan struct{})
+	failures := make(chan int, intervals)
+	go func() {
+		for want := 0; want < intervals; want++ {
+			for {
+				if eng.mu.TryRLock() {
+					seen := eng.have && eng.snap.Interval == want
+					eng.mu.RUnlock()
+					if seen {
+						break
+					}
+				}
+				if yield {
+					runtime.Gosched()
+				}
+			}
+			select {
+			case w := <-eng.work:
+				if w.interval != want {
+					failures <- want
+				}
+			default:
+				failures <- want
+			}
+			observed <- struct{}{}
+		}
+	}()
+	demands := sc.Series.Demands
+	for iv := 0; iv < intervals; iv++ {
+		eng.consume(iv, demands[iv%len(demands)].Clone(), sc.Net.NumPairs())
+		<-observed
+	}
+	close(failures)
+	var missed []int
+	for iv := range failures {
+		missed = append(missed, iv)
+	}
+	if len(missed) > 0 {
+		t.Fatalf("%d of %d published intervals had no parked re-solve when observed (first: %d)", len(missed), intervals, missed[0])
 	}
 }

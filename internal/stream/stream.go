@@ -661,8 +661,8 @@ func (e *Engine) consume(interval int, rates linalg.Vector, covered int) {
 	}
 	e.stateMu.Unlock()
 
-	gravity := core.GravityFromTotals(net, te, tx, nil)
-	thresh := core.ShareThresholdWS(e.ingestWS, mean, 0.9)
+	gravity := core.GravityFromTotals(nil, net, te, tx, nil)
+	thresh := e.ingestWS.ShareThreshold(mean, 0.9)
 	snap := Snapshot{
 		Interval:      interval,
 		Window:        windowLen,
@@ -677,27 +677,13 @@ func (e *Engine) consume(interval int, rates linalg.Vector, covered int) {
 		Fanouts:       traffic.FanoutsOf(net.NumPoPs(), mean),
 		GravityMRE:    core.MRE(gravity, mean, thresh),
 	}
-	e.publish(snap)
-
+	var park *resolveWork
 	if schedule {
-		w := resolveWork{rt: rt, interval: interval, loads: loadsCopy, mean: mean, thresh: thresh}
-		// Latest wins: drop a pending (not yet started) re-solve in favor
-		// of the newer window.
-		select {
-		case e.work <- w:
-		default:
-			select {
-			case <-e.work:
-			default:
-			}
-			select {
-			case e.work <- w:
-			default:
-			}
-		}
-		if e.cfg.ResolveDispatch != nil {
-			e.cfg.ResolveDispatch()
-		}
+		park = &resolveWork{rt: rt, interval: interval, loads: loadsCopy, mean: mean, thresh: thresh}
+	}
+	e.publish(snap, park)
+	if park != nil && e.cfg.ResolveDispatch != nil {
+		e.cfg.ResolveDispatch()
 	}
 }
 
@@ -740,10 +726,29 @@ func (e *Engine) detectAnomalyLocked(drift float64) (active bool, count int) {
 }
 
 // publish installs the next snapshot under the write lock, carrying the
-// latest re-solve fields forward when the new snapshot has none.
-func (e *Engine) publish(snap Snapshot) {
+// latest re-solve fields forward when the new snapshot has none. The
+// re-solve the snapshot's interval scheduled, if any, is parked in the
+// same critical section, so no reader can observe the snapshot before
+// its work is parked (see WaitVersion).
+func (e *Engine) publish(snap Snapshot, park *resolveWork) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if park != nil {
+		// Latest wins: drop a pending (not yet started) re-solve in favor
+		// of the newer window.
+		select {
+		case e.work <- *park:
+		default:
+			select {
+			case <-e.work:
+			default:
+			}
+			select {
+			case e.work <- *park:
+			default:
+			}
+		}
+	}
 	prev := e.snap
 	snap.Version = prev.Version + 1
 	snap.Time = time.Now()
@@ -840,8 +845,12 @@ func (e *Engine) ResolvePending() bool { return len(e.work) > 0 }
 
 // TryResolve executes at most one parked full re-solve on the calling
 // goroutine and publishes its result, reporting whether it consumed
-// one. It is the dispatch-mode (Config.ResolveDispatch) counterpart of
-// the engine's own resolve worker and carries the same invariant: at
+// one. A re-solve is parked before the snapshot that scheduled it
+// becomes observable (see WaitVersion), so a caller woken at that
+// version finds it here unless another resolver took it first or a
+// newer window replaced it. It is the dispatch-mode
+// (Config.ResolveDispatch) counterpart of the engine's own resolve
+// worker and carries the same invariant: at
 // most one re-solve per engine may be in flight, so a host must not
 // call it concurrently for the same engine. A nothing-pending call
 // returns false immediately; once ctx is done the parked work is still
@@ -891,23 +900,18 @@ func (e *Engine) setWarm(est, alpha linalg.Vector) {
 // warm-started from the previous published estimate when one exists.
 func (e *Engine) resolve(w resolveWork) (est linalg.Vector, iters int, warm bool, err error) {
 	warmEst, warmAlpha := e.takeWarm()
+	o := core.Opts{WS: e.ws, X0: warmEst, MaxIter: e.cfg.ResolveMaxIter, Tol: e.cfg.ResolveTol}
 	switch e.cfg.Method {
 	case MethodVardi:
-		cfg := core.DefaultVardiConfig()
-		cfg.SigmaInv2 = e.cfg.SigmaInv2
-		cfg.MaxIter = e.cfg.ResolveMaxIter
-		cfg.Tol = e.cfg.ResolveTol
-		lam, n, err := core.VardiFromWS(e.ws, w.rt, w.loads, cfg, warmEst)
+		lam, n, err := core.VardiWith(w.rt, w.loads, core.VardiConfig{SigmaInv2: e.cfg.SigmaInv2}, o)
 		if err != nil {
 			return nil, 0, false, err
 		}
 		e.setWarm(lam, nil)
 		return lam, n, warmEst != nil, nil
 	case MethodFanout:
-		cfg := core.DefaultFanoutConfig()
-		cfg.MaxIter = e.cfg.ResolveMaxIter
-		cfg.Tol = e.cfg.ResolveTol
-		fe, err := core.EstimateFanoutsFromWS(e.ws, w.rt, w.loads, cfg, warmAlpha)
+		o.X0 = warmAlpha
+		fe, err := core.EstimateFanoutsWith(w.rt, w.loads, core.FanoutConfig{}, o)
 		if err != nil {
 			return nil, 0, false, err
 		}
@@ -932,9 +936,9 @@ func (e *Engine) resolve(w resolveWork) (est linalg.Vector, iters int, warm bool
 	var x linalg.Vector
 	var n int
 	if e.cfg.Method == MethodBayesian {
-		x, n, err = core.BayesianFromWS(e.ws, inst, prior, e.cfg.Reg, warmEst, e.cfg.ResolveMaxIter, e.cfg.ResolveTol)
+		x, n, err = core.BayesianWith(inst, prior, e.cfg.Reg, o)
 	} else {
-		x, n, err = core.EntropyFromWS(e.ws, inst, prior, e.cfg.Reg, warmEst, e.cfg.ResolveMaxIter, e.cfg.ResolveTol)
+		x, n, err = core.EntropyWith(inst, prior, e.cfg.Reg, o)
 	}
 	if err != nil {
 		return nil, 0, false, err
@@ -965,6 +969,13 @@ func (e *Engine) Position() (version uint64, interval int, ok bool) {
 // WaitVersion blocks until a snapshot with Version >= min is published
 // (returning a deep copy of it) or ctx is done (returning ctx.Err()).
 // WaitVersion(ctx, 0) waits for the first snapshot.
+//
+// Ordering guarantee: once version N is observable — here, through
+// Latest or Position — the full re-solve N's interval scheduled, if any,
+// is already parked (ResolvePending reports it, TryResolve runs it), taken
+// by a resolver, done, or replaced by a newer window's. The engine parks
+// the work in the same critical section that installs N, so a reader
+// woken at N never finds N's re-solve missing.
 func (e *Engine) WaitVersion(ctx context.Context, min uint64) (Snapshot, error) {
 	for {
 		e.mu.Lock()
