@@ -10,8 +10,9 @@
 // families or tmgen files — each with its own engine, store and
 // checkpoint, while all tenants' full re-solves are multiplexed onto one
 // shared worker pool (-parallel) with round-robin fairness
-// (internal/fleet). Single-tenant mode is just a one-tenant fleet, so
-// the two modes behave identically where they overlap.
+// (internal/fleet). Single-tenant mode is just a one-tenant fleet whose
+// tenant is named "default" (served at /v1/t/default/...), so the two
+// modes behave identically where they overlap.
 //
 // In cluster mode a fleet is sharded across processes: every process
 // reads the same cluster config (-cluster cluster.json) and runs either
@@ -54,12 +55,6 @@
 //	GET /v1/t/{name}/events    SSE stream of versions + deltas
 //	GET /v1/t/{name}/metrics   tenant's estimation-error history
 //	GET /healthz               liveness plus per-tenant state
-//	GET /tenants               every tenant's status (name, state, version)
-//	GET /t/{name}/snapshot     tenant's latest versioned snapshot;
-//	                           ?min_version=N long-polls until version N
-//	GET /t/{name}/metrics      tenant's estimation-error history
-//	GET /snapshot              single-tenant alias of /t/default/snapshot
-//	GET /metrics               single-tenant alias of /t/default/metrics
 //	GET /metrics/prom          Prometheus text-format telemetry: resolve
 //	                           latency/iteration histograms, drift and
 //	                           anomaly gauges, SLO degradation, serving
@@ -555,7 +550,6 @@ func serveFleet(ctx context.Context, f *fleet.Fleet, cfg config, node *cluster.N
 		go node.Run(runCtx)
 	}
 	srv := &http.Server{Handler: serve.New(runCtx, f, serve.Options{
-		Single:     cfg.fleetPath == "" && cfg.clusterPath == "",
 		MaxWaiters: cfg.maxWaiters,
 		Node:       admin,
 		Metrics:    reg,
@@ -598,14 +592,4 @@ func loadScenario(cfg config) (*netsim.Scenario, error) {
 		return netsim.BuildAmerica(cfg.seed)
 	}
 	return nil, fmt.Errorf("unknown -region %q (europe or america)", cfg.region)
-}
-
-// newHandler builds the HTTP API over a fleet (internal/serve does the
-// real work: per-tenant broadcast hubs, the cached/delta read path, the
-// v1 surface and the byte-compatible legacy aliases). Long-polls abort
-// when runCtx is cancelled, so active handlers never hold srv.Shutdown
-// to its timeout during the daemon's graceful shutdown. Kept as the
-// seam the end-to-end tests drive directly.
-func newHandler(runCtx context.Context, f *fleet.Fleet, single bool) http.Handler {
-	return serve.New(runCtx, f, serve.Options{Single: single}).Handler()
 }

@@ -22,8 +22,43 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/netsim"
 	"repro/internal/runner"
+	"repro/internal/serve"
 	"repro/internal/stream"
 )
+
+// snapshotURL and metricsURL address a tenant's v1 snapshot and
+// metrics routes; single-tenant daemons serve their tenant as
+// "default".
+func snapshotURL(base, tenant string) string { return base + "/v1/t/" + tenant + "/snapshot" }
+func metricsURL(base, tenant string) string  { return base + "/v1/t/" + tenant + "/metrics" }
+
+// apiError is the v1 error envelope.
+type apiError struct {
+	Error struct {
+		Code    string `json:"code"`
+		Message string `json:"message"`
+	} `json:"error"`
+}
+
+// healthDoc is the /healthz document: fleet liveness plus one status
+// row per tenant.
+type healthDoc struct {
+	OK      bool           `json:"ok"`
+	Tenants []fleet.Status `json:"tenants"`
+}
+
+// waitParked blocks until n long-poll waiters are parked on the hub, so
+// a test provably exercises the parked path rather than the fast path.
+func waitParked(t *testing.T, h *serve.Hub, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for h.Stats().Waiters < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d long-poll waiters parked", h.Stats().Waiters, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
 
 // handlerFleet builds a one-tenant fleet around an idle feed (never
 // run), so handler behavior before any data — and during shutdown — can
@@ -105,9 +140,10 @@ func TestEndToEndReplay(t *testing.T) {
 
 	// Progress gate: versions grow by one per publication (intervals and
 	// re-solves both), so version >= cycles means the stream is moving.
-	// Which publications those were is established from /metrics below.
+	// Which publications those were is established from the metrics
+	// route below.
 	var progress stream.Snapshot
-	if code := getJSON(t, fmt.Sprintf("%s/snapshot?min_version=%d", base, cycles), &progress); code != http.StatusOK {
+	if code := getJSON(t, fmt.Sprintf("%s?min_version=%d", snapshotURL(base, "default"), cycles), &progress); code != http.StatusOK {
 		t.Fatalf("long-poll status %d", code)
 	}
 
@@ -119,7 +155,7 @@ func TestEndToEndReplay(t *testing.T) {
 		var m struct {
 			Points []stream.MetricPoint `json:"points"`
 		}
-		getJSON(t, base+"/metrics", &m)
+		getJSON(t, metricsURL(base, "default"), &m)
 		perInterval = perInterval[:0]
 		seen := -1
 		for _, p := range m.Points {
@@ -151,11 +187,11 @@ func TestEndToEndReplay(t *testing.T) {
 		t.Fatalf("longest non-increasing gravity-error run is %d snapshots, want >= 3 (trajectory %v)", best, perInterval)
 	}
 
-	// All intervals are published now (the /metrics loop above saw every
+	// All intervals are published now (the metrics loop above saw every
 	// one), so the latest snapshot covers the final window; re-solve
 	// publications never regress the window state.
 	var final stream.Snapshot
-	getJSON(t, base+"/snapshot", &final)
+	getJSON(t, snapshotURL(base, "default"), &final)
 
 	// (b) Incremental vs batch gravity on the final window. Replay is
 	// lossless, so the collected window equals the generating series.
@@ -189,7 +225,7 @@ func TestEndToEndReplay(t *testing.T) {
 	deadline = time.Now().Add(60 * time.Second)
 	for {
 		var snap stream.Snapshot
-		getJSON(t, base+"/snapshot", &snap)
+		getJSON(t, snapshotURL(base, "default"), &snap)
 		if snap.Resolve != nil {
 			if snap.ResolveMethod != stream.MethodEntropy {
 				t.Fatalf("resolve method %q, want entropy", snap.ResolveMethod)
@@ -205,12 +241,10 @@ func TestEndToEndReplay(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	var health struct {
-		OK      bool   `json:"ok"`
-		Version uint64 `json:"version"`
-	}
-	if code := getJSON(t, base+"/healthz", &health); code != http.StatusOK || !health.OK || health.Version < uint64(cycles) {
-		t.Fatalf("healthz: code=%d ok=%v version=%d", code, health.OK, health.Version)
+	var health healthDoc
+	if code := getJSON(t, base+"/healthz", &health); code != http.StatusOK || !health.OK ||
+		len(health.Tenants) != 1 || health.Tenants[0].Version < uint64(cycles) {
+		t.Fatalf("healthz: code=%d ok=%v tenants=%+v", code, health.OK, health.Tenants)
 	}
 }
 
@@ -230,7 +264,7 @@ func TestEndToEndLive(t *testing.T) {
 	defer shutdown()
 
 	var snap stream.Snapshot
-	if code := getJSON(t, base+"/snapshot?min_version=2", &snap); code != http.StatusOK {
+	if code := getJSON(t, snapshotURL(base, "default")+"?min_version=2", &snap); code != http.StatusOK {
 		t.Fatalf("long-poll status %d", code)
 	}
 	if snap.Version < 2 || len(snap.Gravity) == 0 || len(snap.Mean) == 0 {
@@ -243,30 +277,29 @@ func TestEndToEndLive(t *testing.T) {
 }
 
 // TestAPIBeforeFirstSnapshot drives the handler over an engine that has
-// consumed nothing: /snapshot must 503, bad input must 400, /healthz
-// must stay OK, and a pending long-poll must be released promptly when
-// the daemon's run context is cancelled (the graceful-shutdown path).
+// consumed nothing: the snapshot route must 503, bad input must 400,
+// /healthz must stay OK with the tenant reporting no snapshot, and a
+// pending long-poll must be released promptly when the daemon's run
+// context is cancelled (the graceful-shutdown path).
 func TestAPIBeforeFirstSnapshot(t *testing.T) {
 	runCtx, cancelRun := context.WithCancel(context.Background())
 	defer cancelRun()
-	srv := httptest.NewServer(newHandler(runCtx, handlerFleet(t), true))
+	s := serve.New(runCtx, handlerFleet(t), serve.Options{})
+	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
+	snapURL := snapshotURL(srv.URL, "default")
 
-	var e struct {
-		Error string `json:"error"`
+	var e apiError
+	if code := getJSON(t, snapURL, &e); code != http.StatusServiceUnavailable || e.Error.Code != "no_snapshot" {
+		t.Fatalf("snapshot with no data gave status %d code %q, want 503 no_snapshot", code, e.Error.Code)
 	}
-	if code := getJSON(t, srv.URL+"/snapshot", &e); code != http.StatusServiceUnavailable {
-		t.Fatalf("/snapshot with no data gave status %d, want 503", code)
+	if code := getJSON(t, snapURL+"?min_version=notanumber", &e); code != http.StatusBadRequest || e.Error.Code != "bad_request" {
+		t.Fatalf("bad min_version gave status %d code %q, want 400 bad_request", code, e.Error.Code)
 	}
-	if code := getJSON(t, srv.URL+"/snapshot?min_version=notanumber", &e); code != http.StatusBadRequest {
-		t.Fatalf("bad min_version gave status %d, want 400", code)
-	}
-	var health struct {
-		OK   bool `json:"ok"`
-		Have bool `json:"have_snapshot"`
-	}
-	if code := getJSON(t, srv.URL+"/healthz", &health); code != http.StatusOK || !health.OK || health.Have {
-		t.Fatalf("healthz before data: code=%d ok=%v have=%v", code, health.OK, health.Have)
+	var health healthDoc
+	if code := getJSON(t, srv.URL+"/healthz", &health); code != http.StatusOK || !health.OK ||
+		len(health.Tenants) != 1 || health.Tenants[0].HaveSnapshot {
+		t.Fatalf("healthz before data: code=%d ok=%v tenants=%+v", code, health.OK, health.Tenants)
 	}
 
 	// A long-poll for a version that will never arrive must be released
@@ -274,27 +307,26 @@ func TestAPIBeforeFirstSnapshot(t *testing.T) {
 	// answered as a daemon shutdown (503), not mislabeled a timeout.
 	pollDone := make(chan struct {
 		code int
-		err  string
+		e    apiError
 	}, 1)
 	go func() {
-		var e struct {
-			Error string `json:"error"`
-		}
-		code := getJSON(t, srv.URL+"/snapshot?min_version=1", &e)
+		var e apiError
+		code := getJSON(t, snapURL+"?min_version=1", &e)
 		pollDone <- struct {
 			code int
-			err  string
-		}{code, e.Error}
+			e    apiError
+		}{code, e}
 	}()
-	time.Sleep(50 * time.Millisecond) // let the poll block in WaitVersion
+	h, _ := s.Hub("default")
+	waitParked(t, h, 1)
 	cancelRun()
 	select {
 	case got := <-pollDone:
 		if got.code != http.StatusServiceUnavailable {
 			t.Fatalf("shutdown long-poll gave status %d, want 503", got.code)
 		}
-		if !strings.Contains(got.err, "shutting down") {
-			t.Fatalf("shutdown long-poll error %q does not name the shutdown", got.err)
+		if got.e.Error.Code != "shutting_down" || !strings.Contains(got.e.Error.Message, "shutting down") {
+			t.Fatalf("shutdown long-poll error %+v does not name the shutdown", got.e.Error)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("long-poll not released by run-context cancellation")
@@ -308,18 +340,20 @@ func TestAPIBeforeFirstSnapshot(t *testing.T) {
 func TestLongPollClientDisconnect(t *testing.T) {
 	runCtx, cancelRun := context.WithCancel(context.Background())
 	defer cancelRun()
-	handler := newHandler(runCtx, handlerFleet(t), true)
+	s := serve.New(runCtx, handlerFleet(t), serve.Options{})
+	handler := s.Handler()
 
 	reqCtx, cancelReq := context.WithCancel(context.Background())
-	req := httptest.NewRequest("GET", "/snapshot?min_version=1", nil).WithContext(reqCtx)
+	req := httptest.NewRequest("GET", "/v1/t/default/snapshot?min_version=1", nil).WithContext(reqCtx)
 	rec := httptest.NewRecorder()
 	served := make(chan struct{})
 	go func() {
 		handler.ServeHTTP(rec, req)
 		close(served)
 	}()
-	time.Sleep(50 * time.Millisecond) // let the poll block in WaitVersion
-	cancelReq()                       // the client hangs up
+	h, _ := s.Hub("default")
+	waitParked(t, h, 1)
+	cancelReq() // the client hangs up
 	select {
 	case <-served:
 	case <-time.After(5 * time.Second):
@@ -352,7 +386,7 @@ func TestCheckpointRestart(t *testing.T) {
 	// publish between this read and the shutdown save, and the restored
 	// snapshot must match it exactly.
 	var last stream.Snapshot
-	if code := getJSON(t, fmt.Sprintf("%s/snapshot?min_version=%d", base, cycles), &last); code != http.StatusOK {
+	if code := getJSON(t, fmt.Sprintf("%s?min_version=%d", snapshotURL(base, "default"), cycles), &last); code != http.StatusOK {
 		t.Fatalf("long-poll status %d", code)
 	}
 	deadline := time.Now().Add(time.Minute)
@@ -361,7 +395,7 @@ func TestCheckpointRestart(t *testing.T) {
 			t.Fatalf("stream not quiescent before shutdown (interval %d, resolve %d)", last.Interval, last.ResolveInterval)
 		}
 		time.Sleep(10 * time.Millisecond)
-		getJSON(t, base+"/snapshot", &last)
+		getJSON(t, snapshotURL(base, "default"), &last)
 	}
 	// Publish-time persistence is what makes a hard kill survivable: the
 	// checkpoint must already be on disk while the daemon is still up,
@@ -393,8 +427,8 @@ func TestCheckpointRestart(t *testing.T) {
 	})
 	defer shutdown2()
 	var restored stream.Snapshot
-	if code := getJSON(t, base2+"/snapshot", &restored); code != http.StatusOK {
-		t.Fatalf("restarted daemon dark: /snapshot gave %d, want 200 immediately", code)
+	if code := getJSON(t, snapshotURL(base2, "default"), &restored); code != http.StatusOK {
+		t.Fatalf("restarted daemon dark: snapshot gave %d, want 200 immediately", code)
 	}
 	if restored.Version < last.Version {
 		t.Fatalf("restored version %d older than the %d served before the restart", restored.Version, last.Version)
@@ -412,12 +446,10 @@ func TestCheckpointRestart(t *testing.T) {
 			t.Fatalf("restored mean differs at demand %d: %v vs %v", p, restored.Mean[p], last.Mean[p])
 		}
 	}
-	var health struct {
-		OK   bool `json:"ok"`
-		Have bool `json:"have_snapshot"`
-	}
-	if code := getJSON(t, base2+"/healthz", &health); code != http.StatusOK || !health.OK || !health.Have {
-		t.Fatalf("restarted healthz: code=%d ok=%v have=%v", code, health.OK, health.Have)
+	var health healthDoc
+	if code := getJSON(t, base2+"/healthz", &health); code != http.StatusOK || !health.OK ||
+		len(health.Tenants) != 1 || !health.Tenants[0].HaveSnapshot {
+		t.Fatalf("restarted healthz: code=%d ok=%v tenants=%+v", code, health.OK, health.Tenants)
 	}
 }
 
@@ -575,8 +607,8 @@ func writeFleetConfig(t *testing.T, path string) []string {
 
 // TestEndToEndFleet boots a 4-tenant fleet daemon, waits for every
 // tenant to finish its replay and publish a re-solve, exercises the
-// tenant-scoped routes (/tenants, /t/{name}/snapshot, /t/{name}/metrics,
-// unknown-tenant 404), kills the daemon, and restarts it against the
+// tenant-scoped routes (/v1/tenants, /v1/t/{name}/snapshot,
+// /v1/t/{name}/metrics, unknown-tenant 404), kills the daemon, and restarts it against the
 // same -checkpoint-dir with an hour-long pace: every restored tenant
 // must serve its snapshot immediately.
 func TestEndToEndFleet(t *testing.T) {
@@ -593,24 +625,13 @@ func TestEndToEndFleet(t *testing.T) {
 		mode: "replay", resolveEvery: 3, // single-tenant flags that must be ignored cleanly
 	})
 
-	// /snapshot and /metrics must NOT exist in fleet mode (they are the
-	// single-tenant aliases); tenants are addressed under /t/.
-	resp, err := http.Get(base + "/snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/snapshot in fleet mode gave %d, want 404", resp.StatusCode)
-	}
-
 	// Wait until every tenant is serving its final window + re-solve.
 	finals := make(map[string]stream.Snapshot, len(names))
 	deadline := time.Now().Add(2 * time.Minute)
 	for _, name := range names {
 		for {
 			var snap stream.Snapshot
-			code := getJSON(t, fmt.Sprintf("%s/t/%s/snapshot", base, name), &snap)
+			code := getJSON(t, snapshotURL(base, name), &snap)
 			if code == http.StatusOK && snap.Interval == 5 && snap.Resolve != nil && snap.ResolveInterval == 5 {
 				finals[name] = snap
 				break
@@ -623,45 +644,41 @@ func TestEndToEndFleet(t *testing.T) {
 		var m struct {
 			Points []stream.MetricPoint `json:"points"`
 		}
-		if code := getJSON(t, fmt.Sprintf("%s/t/%s/metrics", base, name), &m); code != http.StatusOK || len(m.Points) < 6 {
+		if code := getJSON(t, metricsURL(base, name), &m); code != http.StatusOK || len(m.Points) < 6 {
 			t.Fatalf("tenant %s metrics: code %d, %d points", name, code, len(m.Points))
 		}
 	}
 
-	// Fleet-wide views: /tenants lists all four serving tenants, and
+	// Fleet-wide views: /v1/tenants lists all four serving tenants, and
 	// /healthz reports per-tenant state with the fleet healthy.
 	var tl struct {
 		Tenants []fleet.Status `json:"tenants"`
 	}
-	if code := getJSON(t, base+"/tenants", &tl); code != http.StatusOK || len(tl.Tenants) != len(names) {
-		t.Fatalf("/tenants: code %d, %d tenants", code, len(tl.Tenants))
+	if code := getJSON(t, base+"/v1/tenants", &tl); code != http.StatusOK || len(tl.Tenants) != len(names) {
+		t.Fatalf("/v1/tenants: code %d, %d tenants", code, len(tl.Tenants))
 	}
 	for _, st := range tl.Tenants {
 		if st.State != fleet.StateServing || !st.HaveSnapshot {
 			t.Fatalf("tenant %s: state %s, have_snapshot %v after replay end", st.Name, st.State, st.HaveSnapshot)
 		}
 	}
-	var health struct {
-		OK      bool           `json:"ok"`
-		Tenants []fleet.Status `json:"tenants"`
-	}
+	var health healthDoc
 	if code := getJSON(t, base+"/healthz", &health); code != http.StatusOK || !health.OK || len(health.Tenants) != len(names) {
 		t.Fatalf("healthz: code=%d ok=%v tenants=%d", code, health.OK, len(health.Tenants))
 	}
 
-	var e struct {
-		Error string `json:"error"`
+	var e apiError
+	if code := getJSON(t, snapshotURL(base, "nosuch"), &e); code != http.StatusNotFound ||
+		e.Error.Code != "unknown_tenant" || !strings.Contains(e.Error.Message, "nosuch") {
+		t.Fatalf("unknown tenant gave code %d error %+v", code, e.Error)
 	}
-	if code := getJSON(t, base+"/t/nosuch/snapshot", &e); code != http.StatusNotFound || !strings.Contains(e.Error, "nosuch") {
-		t.Fatalf("unknown tenant gave code %d error %q", code, e.Error)
+	if code := getJSON(t, base+"/v1/t/eu/teapot", &e); code != http.StatusNotFound || e.Error.Code != "unknown_endpoint" {
+		t.Fatalf("unknown tenant endpoint gave code %d error %+v", code, e.Error)
 	}
-	if code := getJSON(t, base+"/t/eu/teapot", &e); code != http.StatusNotFound {
-		t.Fatalf("unknown tenant endpoint gave code %d", code)
-	}
-	// /t/eu without an endpoint names the missing endpoint, not a
+	// /v1/t/eu without an endpoint names the missing endpoint, not a
 	// (nonexistent) unknown tenant.
-	if code := getJSON(t, base+"/t/eu", &e); code != http.StatusNotFound || !strings.Contains(e.Error, "missing endpoint") {
-		t.Fatalf("endpointless tenant path gave code %d error %q", code, e.Error)
+	if code := getJSON(t, base+"/v1/t/eu", &e); code != http.StatusNotFound || e.Error.Code != "missing_endpoint" {
+		t.Fatalf("endpointless tenant path gave code %d error %+v", code, e.Error)
 	}
 
 	shutdown()
@@ -682,7 +699,7 @@ func TestEndToEndFleet(t *testing.T) {
 	defer shutdown2()
 	for _, name := range names {
 		var restored stream.Snapshot
-		if code := getJSON(t, fmt.Sprintf("%s/t/%s/snapshot", base2, name), &restored); code != http.StatusOK {
+		if code := getJSON(t, snapshotURL(base2, name), &restored); code != http.StatusOK {
 			t.Fatalf("restarted tenant %s dark: code %d, want 200 immediately", name, code)
 		}
 		want := finals[name]
@@ -702,7 +719,7 @@ func TestEndToEndFleet(t *testing.T) {
 	var tl2 struct {
 		Tenants []fleet.Status `json:"tenants"`
 	}
-	getJSON(t, base2+"/tenants", &tl2)
+	getJSON(t, base2+"/v1/tenants", &tl2)
 	for _, st := range tl2.Tenants {
 		if !st.Restored {
 			t.Fatalf("tenant %s status does not report the restore", st.Name)

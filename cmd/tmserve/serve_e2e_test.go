@@ -1,9 +1,9 @@
 package main
 
-// End-to-end coverage of the PR's serving additions: the uniform
-// snapshot headers across the legacy and v1 surfaces, the conditional
-// get / delta / SSE read path, and the -max-waiters load-shedding cap —
-// all against the real daemon, not a handler fixture.
+// End-to-end coverage of the serving read path: the snapshot serving
+// headers, the conditional get / delta / SSE read path, and the
+// -max-waiters load-shedding cap — all against the real daemon, not a
+// handler fixture.
 
 import (
 	"bufio"
@@ -28,45 +28,42 @@ func replayConfig() config {
 	}
 }
 
-// TestServeSnapshotHeadersE2E: every snapshot-serving route — legacy
-// single, legacy tenant, and v1 — answers with the same Content-Type,
-// Cache-Control and X-Snapshot-Version headers, and the v1 route adds
-// the ETag the conditional-get flow needs.
+// TestServeSnapshotHeadersE2E: the snapshot route answers with the
+// Content-Type, Cache-Control, X-Snapshot-Version and ETag serving
+// headers, the ETag naming the served version.
 func TestServeSnapshotHeadersE2E(t *testing.T) {
 	base, shutdown := startServer(t, replayConfig())
 	defer shutdown()
 
 	// Wait until something is published, via the long-poll.
 	var first stream.Snapshot
-	if code := getJSON(t, base+"/snapshot?min_version=1", &first); code != http.StatusOK {
+	if code := getJSON(t, snapshotURL(base, "default")+"?min_version=1", &first); code != http.StatusOK {
 		t.Fatalf("long-poll status %d", code)
 	}
 
-	for _, path := range []string{"/snapshot", "/t/default/snapshot", "/v1/t/default/snapshot"} {
-		resp, err := http.Get(base + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %d", path, resp.StatusCode)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-			t.Errorf("GET %s: Content-Type %q", path, ct)
-		}
-		if cc := resp.Header.Get("Cache-Control"); cc != "no-cache" {
-			t.Errorf("GET %s: Cache-Control %q", path, cc)
-		}
-		if v := resp.Header.Get("X-Snapshot-Version"); v == "" {
-			t.Errorf("GET %s: no X-Snapshot-Version", path)
-		}
-		etag := resp.Header.Get("ETag")
-		if strings.HasPrefix(path, "/v1/") && etag == "" {
-			t.Errorf("GET %s: v1 response without ETag", path)
-		}
-		if !strings.HasPrefix(path, "/v1/") && etag != "" {
-			t.Errorf("GET %s: legacy response grew an ETag %q", path, etag)
-		}
+	resp, err := http.Get(snapshotURL(base, "default"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap stream.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET snapshot: %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("Content-Type %q", ct)
+	}
+	if cc := resp.Header.Get("Cache-Control"); cc != "no-cache" {
+		t.Errorf("Cache-Control %q", cc)
+	}
+	if v := resp.Header.Get("X-Snapshot-Version"); v != fmt.Sprint(snap.Version) {
+		t.Errorf("X-Snapshot-Version %q for version %d", v, snap.Version)
+	}
+	if etag := resp.Header.Get("ETag"); etag != serve.ETag(snap.Version) {
+		t.Errorf("ETag %q for version %d", etag, snap.Version)
 	}
 }
 
@@ -184,8 +181,7 @@ func TestServeV1ReadPathE2E(t *testing.T) {
 }
 
 // TestServeMaxWaitersE2E: a daemon started with -max-waiters 1 sheds
-// the second concurrent long-poll with 429 + Retry-After on both the
-// legacy and the v1 surface.
+// the second concurrent long-poll with 429 + Retry-After: 1.
 func TestServeMaxWaitersE2E(t *testing.T) {
 	cfg := replayConfig()
 	// An enormous pace keeps the replay from ever publishing, so
@@ -198,7 +194,7 @@ func TestServeMaxWaitersE2E(t *testing.T) {
 
 	parked := make(chan int, 1)
 	go func() {
-		resp, err := http.Get(base + "/snapshot?min_version=99")
+		resp, err := http.Get(snapshotURL(base, "default") + "?min_version=99")
 		if err != nil {
 			parked <- -1
 			return
@@ -230,37 +226,18 @@ func TestServeMaxWaitersE2E(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	resp, err := http.Get(base + "/v1/t/default/snapshot?min_version=99")
+	resp, err := http.Get(snapshotURL(base, "default") + "?min_version=99")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("v1 over-cap: %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("over-cap: %d, Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
-	var envelope struct {
-		Error struct {
-			Code string `json:"code"`
-		} `json:"error"`
-	}
+	var envelope apiError
 	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil || envelope.Error.Code != "too_many_waiters" {
 		t.Fatalf("429 envelope: %v %+v", err, envelope)
 	}
 	resp.Body.Close()
-	// Legacy surface sheds identically.
-	resp, err = http.Get(base + "/snapshot?min_version=99")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var e struct {
-		Error string `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests || !strings.Contains(e.Error, "too many waiters") {
-		t.Fatalf("legacy over-cap: %d %q", resp.StatusCode, e.Error)
-	}
 	shutdown() // releases the parked waiter with the shutdown 503
 	if code := <-parked; code != http.StatusServiceUnavailable {
 		t.Fatalf("parked waiter released with %d, want 503", code)

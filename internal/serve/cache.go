@@ -21,11 +21,10 @@ type Entry struct {
 	Version  uint64
 	Interval int
 	Time     time.Time
-	// ETag is the strong validator v1 conditional gets use ("v<version>").
+	// ETag is the strong validator conditional gets use ("v<version>").
 	ETag string
 	// JSON is json.Marshal(snapshot) plus a trailing newline — the exact
-	// bytes the pre-hub daemon's json.Encoder wrote, so legacy routes
-	// serving cache entries stay byte-compatible.
+	// bytes json.Encoder writes for the snapshot.
 	JSON []byte
 	// DeltaFrom/Delta encode the patch from the previously observed
 	// version; Delta is nil when this entry is a chain head (first

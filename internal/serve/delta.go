@@ -9,8 +9,7 @@
 // subscriber off one WaitVersion loop instead of one goroutine and one
 // deep copy per client. On top of the hub, Server cuts the versioned
 // /v1 HTTP API (ETag conditional gets, full-vs-delta content
-// negotiation, SSE event streams, a uniform error envelope) while
-// keeping cmd/tmserve's legacy routes byte-compatible as thin aliases.
+// negotiation, SSE event streams, a uniform error envelope).
 package serve
 
 import (

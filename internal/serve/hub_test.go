@@ -67,6 +67,19 @@ func hubSnap(version uint64) stream.Snapshot {
 	}
 }
 
+// waitWaiters blocks until n long-poll waiters are parked on h, so a
+// test provably exercises the parked path rather than the fast path.
+func waitWaiters(t *testing.T, h *Hub, n int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for h.Stats().Waiters < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d waiters parked", h.Stats().Waiters, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestHubFanout: many concurrent waiters, one publication — every
 // waiter receives the same shared encoded entry, whose bytes are the
 // snapshot's one-time encoding.
@@ -92,7 +105,7 @@ func TestHubFanout(t *testing.T) {
 			got <- e
 		}()
 	}
-	time.Sleep(20 * time.Millisecond) // park the waiters
+	waitWaiters(t, h, waiters)
 	snap := hubSnap(1)
 	src.Publish(snap)
 	wg.Wait()
@@ -144,13 +157,7 @@ func TestHubWaiterCap(t *testing.T) {
 			results <- err
 		}()
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for h.Stats().Waiters < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("waiters never parked")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitWaiters(t, h, 2)
 	if _, err := h.WaitMin(ctx, 1); err != ErrTooManyWaiters {
 		t.Fatalf("third waiter got %v, want ErrTooManyWaiters", err)
 	}
@@ -197,13 +204,7 @@ func TestHubWaitMinCancel(t *testing.T) {
 		_, err := h.WaitMin(ctx, 1)
 		done <- err
 	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for h.Stats().Waiters == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("waiter never parked")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitWaiters(t, h, 1)
 	cancel()
 	if err := <-done; err != context.Canceled {
 		t.Fatalf("cancelled WaitMin returned %v", err)

@@ -1,7 +1,7 @@
 package serve
 
 // Route is one row of the HTTP surface: the method and path pattern a
-// Server answers, what it does, and which surface it belongs to. The
+// Server answers, what it does, and where it is mounted. The
 // table is the single source of truth the API documentation
 // (docs/API.md) is drift-tested against, and the server tests assert
 // every row is actually routable.
@@ -9,18 +9,12 @@ type Route struct {
 	Method  string
 	Pattern string // {name} marks the tenant path segment
 	Summary string
-	// Legacy marks the pre-v1 routes kept byte-compatible with the
-	// seed-era daemon; false means the versioned /v1 surface.
-	Legacy bool
-	// SingleOnly routes exist only in single-tenant mode, where they
-	// alias the one tenant.
-	SingleOnly bool
 	// ClusterOnly routes exist only on cluster member nodes (Options.
 	// Node set): the checkpoint-handoff admin surface.
 	ClusterOnly bool
 }
 
-// Routes returns the full route table, v1 first.
+// Routes returns the full route table.
 func Routes() []Route {
 	return []Route{
 		{Method: "GET", Pattern: "/v1/tenants",
@@ -37,18 +31,8 @@ func Routes() []Route {
 			Summary: "tenant's estimation-error history"},
 		{Method: "GET", Pattern: "/metrics/prom",
 			Summary: "Prometheus text-format telemetry: estimation, SLO and serving families for every hosted tenant"},
-		{Method: "GET", Pattern: "/healthz", Legacy: true,
+		{Method: "GET", Pattern: "/healthz",
 			Summary: "liveness plus per-tenant state and SLO degradation causes"},
-		{Method: "GET", Pattern: "/tenants", Legacy: true,
-			Summary: "every tenant's status"},
-		{Method: "GET", Pattern: "/t/{name}/snapshot", Legacy: true,
-			Summary: "tenant's latest versioned snapshot; ?min_version=N long-polls"},
-		{Method: "GET", Pattern: "/t/{name}/metrics", Legacy: true,
-			Summary: "tenant's estimation-error history"},
-		{Method: "GET", Pattern: "/snapshot", Legacy: true, SingleOnly: true,
-			Summary: "single-tenant alias of /t/default/snapshot"},
-		{Method: "GET", Pattern: "/metrics", Legacy: true, SingleOnly: true,
-			Summary: "single-tenant alias of /t/default/metrics"},
 	}
 }
 
@@ -74,7 +58,7 @@ func CoordinatorRoutes() []Route {
 			Summary: "Prometheus text-format telemetry: per-node health, probe-failure and proxy/redirect routing counters"},
 		{Method: "POST", Pattern: "/v1/cluster/migrate",
 			Summary: "move a tenant via checkpoint handoff: ?tenant=X&to=node pulls the owner's checkpoint, ships it to the target's adopt endpoint and repoints routing"},
-		{Method: "GET", Pattern: "/healthz", Legacy: true,
+		{Method: "GET", Pattern: "/healthz",
 			Summary: "coordinator liveness plus per-node probe state"},
 	}
 }

@@ -43,7 +43,6 @@ func testFleet(t *testing.T) *fleet.Fleet {
 // what is published. Returns the server, the source, and the handler.
 func testServer(t *testing.T, runCtx context.Context, opts Options) (*Server, *fakeSource, http.Handler) {
 	t.Helper()
-	opts.Single = true
 	s := New(runCtx, testFleet(t), opts)
 	src := newFakeSource()
 	max := opts.MaxWaiters
@@ -84,10 +83,10 @@ func get(t *testing.T, handler http.Handler, path string, hdr map[string]string)
 	return rec
 }
 
-// TestServerLegacyByteCompat: the legacy routes serve exactly the bytes
-// the pre-cache daemon's json.Encoder wrote, now with the uniform
-// serving headers.
-func TestServerLegacyByteCompat(t *testing.T) {
+// TestServerV1ByteExact: the uncompressed snapshot body is exactly the
+// bytes json.Encoder writes for the snapshot, with the uniform serving
+// headers, and the ?min_version fast path serves the same bytes.
+func TestServerV1ByteExact(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	_, src, handler := testServer(t, ctx, Options{})
@@ -99,36 +98,46 @@ func TestServerLegacyByteCompat(t *testing.T) {
 		t.Fatal(err)
 	}
 	want = append(want, '\n')
-	for _, path := range []string{"/snapshot", "/t/default/snapshot"} {
-		rec := get(t, handler, path, nil)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("GET %s: %d", path, rec.Code)
-		}
-		if rec.Body.String() != string(want) {
-			t.Fatalf("GET %s: body differs from json.Encoder output", path)
-		}
-		h := rec.Header()
-		if h.Get("Content-Type") != "application/json" ||
-			h.Get("Cache-Control") != "no-cache" ||
-			h.Get("X-Snapshot-Version") != "3" {
-			t.Fatalf("GET %s: headers %v", path, h)
-		}
-		if h.Get("Content-Encoding") != "" {
-			t.Fatalf("GET %s: legacy route negotiated an encoding", path)
-		}
+	rec := get(t, handler, "/v1/t/default/snapshot", nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET snapshot: %d", rec.Code)
 	}
-	// min_version long-poll satisfied from cache, same bytes.
-	rec := get(t, handler, "/snapshot?min_version=3", nil)
+	if rec.Body.String() != string(want) {
+		t.Fatal("GET snapshot: body differs from json.Encoder output")
+	}
+	h := rec.Header()
+	if h.Get("Content-Type") != "application/json" ||
+		h.Get("Cache-Control") != "no-cache" ||
+		h.Get("X-Snapshot-Version") != "3" ||
+		h.Get("ETag") != ETag(3) {
+		t.Fatalf("GET snapshot: headers %v", h)
+	}
+	if h.Get("Content-Encoding") != "" {
+		t.Fatal("GET snapshot without Accept-Encoding negotiated an encoding")
+	}
+	rec = get(t, handler, "/v1/t/default/snapshot?min_version=3", nil)
 	if rec.Code != http.StatusOK || rec.Body.String() != string(want) {
-		t.Fatalf("long-poll fast path: %d", rec.Code)
+		t.Fatalf("long-poll fast path: %d, body equal %v", rec.Code, rec.Body.String() == string(want))
 	}
-	// Legacy error envelope is the flat string.
-	rec = get(t, handler, "/t/nosuch/snapshot", nil)
-	var e struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code != http.StatusNotFound || !strings.Contains(e.Error, "nosuch") {
-		t.Fatalf("legacy unknown tenant: %d %q", rec.Code, rec.Body.String())
+}
+
+// TestRetiredRoutes404: the pre-v1 routes are gone — a server with
+// default options over a one-tenant fleet named "default" answers 404
+// on every one of them.
+func TestRetiredRoutes404(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	handler := New(ctx, testFleet(t), Options{}).Handler()
+	for _, path := range []string{
+		"/tenants",
+		"/t/default/snapshot",
+		"/t/default/metrics",
+		"/snapshot",
+		"/metrics",
+	} {
+		if rec := get(t, handler, path, nil); rec.Code != http.StatusNotFound {
+			t.Errorf("GET %s: %d, want 404", path, rec.Code)
+		}
 	}
 }
 
@@ -327,8 +336,8 @@ func TestServerV1Errors(t *testing.T) {
 	}
 }
 
-// TestServerWaiterCap429: both surfaces shed load with 429 +
-// Retry-After at the waiter cap.
+// TestServerWaiterCap429: long-polls and SSE subscriptions past the
+// waiter cap are shed with 429 + Retry-After: 1.
 func TestServerWaiterCap429(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -340,15 +349,9 @@ func TestServerWaiterCap429(t *testing.T) {
 		park <- rec.Code
 	}()
 	h, _ := s.Hub("default")
-	deadline := time.Now().Add(2 * time.Second)
-	for h.Stats().Waiters == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first long-poll never parked")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitWaiters(t, h, 1)
 	rec := get(t, handler, "/v1/t/default/snapshot?min_version=9", nil)
-	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") == "" {
+	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") != "1" {
 		t.Fatalf("v1 over-cap: %d, Retry-After %q", rec.Code, rec.Header().Get("Retry-After"))
 	}
 	var e struct {
@@ -358,10 +361,6 @@ func TestServerWaiterCap429(t *testing.T) {
 	}
 	if json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Error.Code != "too_many_waiters" {
 		t.Fatalf("v1 over-cap envelope: %s", rec.Body.String())
-	}
-	rec = get(t, handler, "/snapshot?min_version=9", nil)
-	if rec.Code != http.StatusTooManyRequests || rec.Header().Get("Retry-After") == "" {
-		t.Fatalf("legacy over-cap: %d", rec.Code)
 	}
 	// SSE subscription is refused at the cap too.
 	rec = get(t, handler, "/v1/t/default/events", nil)

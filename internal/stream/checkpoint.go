@@ -64,7 +64,8 @@ type Checkpoint struct {
 	WarmAlpha linalg.Vector `json:"warm_alpha,omitempty"`
 
 	// Snapshot is the latest published state (nil before the first
-	// publication); Metrics is the error history backing /metrics.
+	// publication); Metrics is the error history backing
+	// /v1/t/{name}/metrics.
 	Snapshot *Snapshot     `json:"snapshot,omitempty"`
 	Metrics  []MetricPoint `json:"metrics,omitempty"`
 }

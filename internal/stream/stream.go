@@ -957,7 +957,7 @@ func (e *Engine) Latest() (snap Snapshot, ok bool) {
 
 // Position returns the newest snapshot's version and interval without
 // copying its matrices — the cheap read for status and health endpoints
-// that poll every engine (the fleet's /tenants and /healthz), where
+// that poll every engine (the fleet's /v1/tenants and /healthz), where
 // Latest's deep copy of four vectors per tenant per probe would be pure
 // waste.
 func (e *Engine) Position() (version uint64, interval int, ok bool) {

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Fleet serving smoke test, as run by CI's fleet-smoke job (and `make
 # smoke`): build tmserve, boot a 4-tenant fleet in replay mode, read
-# /tenants and every /t/{name}/snapshot, stop the daemon, restart it
-# against the same -checkpoint-dir with an hour-long pace, and assert
+# /v1/tenants and every /v1/t/{name}/snapshot, stop the daemon, restart
+# it against the same -checkpoint-dir with an hour-long pace, and assert
 # every restored tenant serves its pre-restart snapshot immediately.
 set -euo pipefail
 
@@ -33,17 +33,17 @@ start_tmserve "$base" -fleet "$workdir/fleet.json" -checkpoint-dir "$workdir/ckp
 daemon_pid="$last_pid"
 
 all_serving() {
-  [ "$(curl -sf "$base/tenants" | jq '[.tenants[] | select(.state == "serving" and .have_snapshot)] | length')" = "4" ]
+  [ "$(curl -sf "$base/v1/tenants" | jq '[.tenants[] | select(.state == "serving" and .have_snapshot)] | length')" = "4" ]
 }
 say "waiting for every tenant to finish its replay"
 if ! wait_for 240 "4/4 tenants serving" all_serving; then
-  curl -s "$base/tenants" | jq .
+  curl -s "$base/v1/tenants" | jq .
   exit 1
 fi
 
 declare -A versions intervals
 for name in "${names[@]}"; do
-  snap=$(curl -sf "$base/t/$name/snapshot")
+  snap=$(curl -sf "$base/v1/t/$name/snapshot")
   versions[$name]=$(echo "$snap" | jq -r .version)
   intervals[$name]=$(echo "$snap" | jq -r .interval)
   if [ "${intervals[$name]}" != "5" ]; then
@@ -73,10 +73,10 @@ start_tmserve "$base" -fleet "$workdir/fleet.json" -checkpoint-dir "$workdir/ckp
 for name in "${names[@]}"; do
   # First request, no settling loop: restored snapshots must serve
   # immediately.
-  snap=$(curl -sf "$base/t/$name/snapshot") || { say "tenant $name dark after restart"; exit 1; }
+  snap=$(curl -sf "$base/v1/t/$name/snapshot") || { say "tenant $name dark after restart"; exit 1; }
   version=$(echo "$snap" | jq -r .version)
   interval=$(echo "$snap" | jq -r .interval)
-  restored=$(curl -sf "$base/tenants" | jq -r ".tenants[] | select(.name == \"$name\") | .restored")
+  restored=$(curl -sf "$base/v1/tenants" | jq -r ".tenants[] | select(.name == \"$name\") | .restored")
   if [ "$interval" != "${intervals[$name]}" ] || [ "$version" -lt "${versions[$name]}" ]; then
     say "tenant $name restored to version $version interval $interval, want >= ${versions[$name]} / ${intervals[$name]}"
     exit 1

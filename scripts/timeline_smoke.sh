@@ -38,7 +38,7 @@ start_tmserve "$base" -fleet "$workdir/fleet.json" -addr "$addr"
 
 tenant_recovered() {
   local snap interval epoch resolve
-  snap=$(curl -sf "$base/t/$1/snapshot" 2>/dev/null) || return 1
+  snap=$(curl -sf "$base/v1/t/$1/snapshot" 2>/dev/null) || return 1
   interval=$(echo "$snap" | jq -r '.interval // -1')
   epoch=$(echo "$snap" | jq -r '.topology_epoch // 0')
   resolve=$(echo "$snap" | jq -r '.resolve != null')
@@ -52,23 +52,23 @@ say "waiting for both timelines to ride through failure + restore"
 wait_for 240 "both timelines recovered" both_recovered || true
 
 for name in "${names[@]}"; do
-  snap=$(curl -sf "$base/t/$name/snapshot")
+  snap=$(curl -sf "$base/v1/t/$name/snapshot")
   interval=$(echo "$snap" | jq -r .interval)
   epoch=$(echo "$snap" | jq -r .topology_epoch)
   warm=$(echo "$snap" | jq -r .resolve_warm)
   resolve=$(echo "$snap" | jq -r '.resolve != null')
   if [ "$interval" != "29" ] || [ "$epoch" != "2" ] || [ "$resolve" != "true" ]; then
     say "tenant $name never recovered: interval=$interval epoch=$epoch resolve=$resolve"
-    curl -s "$base/tenants" | jq .
+    curl -s "$base/v1/tenants" | jq .
     exit 1
   fi
   say "tenant $name: interval $interval, epoch $epoch, resolve served (warm=$warm)"
 done
 
 # Zero tenant errors: every tenant serving, none failed, fleet healthy.
-errors=$(curl -sf "$base/tenants" | jq '[.tenants[] | select(.state == "failed" or (.error // "") != "")] | length')
+errors=$(curl -sf "$base/v1/tenants" | jq '[.tenants[] | select(.state == "failed" or (.error // "") != "")] | length')
 if [ "$errors" != "0" ]; then
-  say "tenants reported errors"; curl -s "$base/tenants" | jq .; exit 1
+  say "tenants reported errors"; curl -s "$base/v1/tenants" | jq .; exit 1
 fi
 ok=$(curl -sf "$base/healthz" | jq -r .ok)
 if [ "$ok" != "true" ]; then
