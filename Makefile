@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short stress bench bench-baseline bench-check docs fmt vet staticcheck cover smoke timeline-smoke cluster-smoke obs-smoke loadtest check
+.PHONY: build test test-short stress bench bench-baseline bench-check docs examples fmt vet staticcheck cover smoke timeline-smoke cluster-smoke obs-smoke loadtest check
 
 build:
 	$(GO) build ./...
@@ -68,6 +68,15 @@ bench-check:
 docs:
 	$(GO) test -run 'TestPackageComments|TestREADMEFlagDrift|TestMETHODSCoverage|TestAPIDocDrift|TestMetricsDocDrift' .
 
+# Example programs, as run by CI's check job: every main package under
+# examples/ must run to completion (exit 0) inside 120 s. vet and gofmt
+# only prove they compile; this proves they still work.
+examples:
+	@for pkg in $$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./examples/...); do \
+		echo "== $$pkg"; \
+		timeout 120 $(GO) run $$pkg > /dev/null || { echo "$$pkg failed" >&2; exit 1; }; \
+	done
+
 fmt:
 	@out="$$(gofmt -l .)"; \
 	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -120,4 +129,4 @@ obs-smoke:
 loadtest:
 	bash scripts/loadtest.sh
 
-check: vet fmt build docs test-short
+check: vet fmt build examples docs test-short

@@ -2,10 +2,10 @@
 // collection and watch the traffic matrix evolve — the online counterpart
 // of the batch experiments. Every 5-minute interval the engine folds the
 // newly collected rates into its sliding window and refreshes the cheap
-// incremental gravity estimate (eq. 5); every third interval it schedules
-// a full entropy re-solve (eq. 6) on a dedicated latest-wins worker. The
-// same engine powers the tmserve daemon, which serves these snapshots
-// over HTTP/JSON instead of printing them.
+// incremental gravity estimate (eq. 5); every third interval it parks a
+// full entropy re-solve (eq. 6) for its host — here one goroutine calling
+// TryResolve — to run, newest window first. The same engine powers the
+// tmserve daemon, which serves these snapshots over HTTP/JSON instead.
 package main
 
 import (
@@ -25,11 +25,20 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// The engine pings kick whenever it parks a re-solve (coalesced, so
+	// ingestion never blocks); the resolver goroutine below runs it.
+	kick := make(chan struct{}, 1)
 	engine, err := stream.New(sc.Rt, stream.Config{
 		Window:       6, // half an hour of 5-minute intervals
 		ResolveEvery: 3,
 		Method:       stream.MethodEntropy,
 		Reg:          1000,
+		ResolveDispatch: func() {
+			select {
+			case kick <- struct{}{}:
+			default:
+			}
+		},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -44,6 +53,18 @@ func main() {
 	go func() {
 		defer close(engineDone)
 		_ = engine.Run(ctx, store)
+	}()
+	resolverDone := make(chan struct{})
+	go func() {
+		defer close(resolverDone)
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-kick:
+				engine.TryResolve(ctx)
+			}
+		}
 	}()
 
 	// Pace the replay so each 5-minute interval takes 50 ms of wall time;
@@ -83,6 +104,7 @@ func main() {
 	}
 	cancel()
 	<-engineDone
+	<-resolverDone
 
 	final, _ := engine.Latest()
 	fmt.Printf("\nfinal snapshot v%d: %d demands over a %d-interval window, "+

@@ -348,8 +348,9 @@ func New(pool *runner.Pool, opts Options) *Fleet {
 func (f *Fleet) Pool() *runner.Pool { return f.pool }
 
 // Add materializes a tenant from its spec: the source is built (or
-// loaded), the engine created in dispatch mode, and a deterministic
-// replay feed attached. Must be called before Run.
+// loaded), the engine created with the fleet scheduler as its
+// ResolveDispatch hook, and a deterministic replay feed attached. Must
+// be called before Run.
 func (f *Fleet) Add(spec TenantSpec) (*Tenant, error) {
 	return f.addSpec(spec, false)
 }

@@ -68,7 +68,7 @@ func TestAddValidation(t *testing.T) {
 	}
 }
 
-// parkWork drives a dispatch-mode tenant's engine directly (outside
+// parkWork drives a tenant's engine directly (outside
 // Fleet.Run) until a re-solve is parked, so scheduler internals can be
 // tested white-box.
 func parkWork(t *testing.T, ten *Tenant) {

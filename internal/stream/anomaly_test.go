@@ -127,7 +127,7 @@ func TestOnResolveHook(t *testing.T) {
 		warm  bool
 	}
 	ch := make(chan obsv, 64)
-	eng, err := New(sc.Rt, Config{
+	eng := hostedNew(t, sc.Rt, Config{
 		Window:       3,
 		ResolveEvery: 2,
 		OnResolve: func(d time.Duration, iters int, warm bool) {
@@ -137,15 +137,12 @@ func TestOnResolveHook(t *testing.T) {
 			ch <- obsv{iters, warm}
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	store := collector.NewStore(sc.Net.NumPairs())
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	done := make(chan error, 1)
 	go func() { done <- eng.Run(ctx, store) }()
-	// Paced, so the worker drains each parked re-solve before the next
+	// Paced, so the resolver drains each parked re-solve before the next
 	// interval lands (an instant replay collapses every schedule into
 	// one latest-wins solve).
 	if err := collector.Replay(ctx, store, sc.Series, 8, 25*time.Millisecond); err != nil {

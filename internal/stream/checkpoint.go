@@ -12,9 +12,7 @@ import (
 // CheckpointFormat is the version tag written into every checkpoint
 // file. Load rejects unknown versions instead of guessing, so a format
 // change can never silently corrupt a restored engine. Format 2 added
-// TopologyEpoch for routing hot-swaps (SwapRouting); format-1 files are
-// still accepted and read as epoch 0, which is what every pre-swap
-// engine was.
+// TopologyEpoch for routing hot-swaps (SwapRouting).
 const CheckpointFormat = 2
 
 // checkpointEntry is one sliding-window interval in a checkpoint. Only
@@ -132,7 +130,7 @@ func (e *Engine) Restore(cp Checkpoint) error {
 	if e.started.Load() {
 		return fmt.Errorf("stream: Restore after Run")
 	}
-	if cp.Format != 1 && cp.Format != CheckpointFormat {
+	if cp.Format != CheckpointFormat {
 		return fmt.Errorf("stream: checkpoint format %d, this build reads %d", cp.Format, CheckpointFormat)
 	}
 	e.stateMu.Lock()

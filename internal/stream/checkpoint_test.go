@@ -22,9 +22,8 @@ func runReplay(t *testing.T, sc *netsim.Scenario, eng *Engine, cycles int) {
 	runReplayResolve(t, sc, eng, cycles, -1)
 }
 
-// runReplayResolve is runReplay that additionally waits — while the
-// engine is still running, so the re-solve worker cannot drop the job
-// during shutdown — for a published re-solve covering resolveIv or
+// runReplayResolve is runReplay that additionally waits, before it
+// shuts the engine down, for a published re-solve covering resolveIv or
 // later (-1 skips the wait).
 func runReplayResolve(t *testing.T, sc *netsim.Scenario, eng *Engine, cycles, resolveIv int) {
 	t.Helper()
@@ -78,11 +77,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	cfg := Config{Window: 4, ResolveEvery: 3}
 	const firstLeg, total = 10, 14
 
-	orig, err := New(sc.Rt, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runReplay(t, sc, orig, firstLeg)
+	orig := hostedNew(t, sc.Rt, cfg)
+	// Wait for the first leg's last scheduled re-solve (every third
+	// interval: 2, 5, 8), so no re-solve lands between the checkpoint and
+	// the comparison with the original below.
+	runReplayResolve(t, sc, orig, firstLeg, 8)
 
 	path := filepath.Join(t.TempDir(), "engine.ckpt")
 	if err := SaveCheckpoint(path, orig.Checkpoint()); err != nil {
@@ -92,10 +91,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := New(sc.Rt, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := hostedNew(t, sc.Rt, cfg)
 	if err := restored.Restore(cp); err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +119,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	// (replay re-feeds 0..firstLeg-1, which the cursor skips) and its
 	// final window must match an uninterrupted engine's.
 	runReplay(t, sc, restored, total)
-	uninterrupted, err := New(sc.Rt, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	uninterrupted := hostedNew(t, sc.Rt, cfg)
 	runReplay(t, sc, uninterrupted, total)
 
 	got, _ := restored.Latest()
@@ -157,10 +150,7 @@ func TestCheckpointWarmSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Window: 4, ResolveEvery: 2}
-	orig, err := New(sc.Rt, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	orig := hostedNew(t, sc.Rt, cfg)
 	// Wait for a re-solve to land before the engine stops, so the
 	// checkpoint definitely carries one.
 	runReplayResolve(t, sc, orig, 4, 1)
@@ -169,10 +159,7 @@ func TestCheckpointWarmSeed(t *testing.T) {
 		t.Fatal("checkpoint lost the re-solve")
 	}
 
-	restored, err := New(sc.Rt, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	restored := hostedNew(t, sc.Rt, cfg)
 	if err := restored.Restore(cp); err != nil {
 		t.Fatal(err)
 	}
@@ -206,10 +193,12 @@ func TestRestoreValidation(t *testing.T) {
 	cp := orig.Checkpoint()
 
 	if e, _ := New(eu.Rt, Config{Window: 3}); true {
-		bad := cp
-		bad.Format = 99
-		if err := e.Restore(bad); err == nil {
-			t.Fatal("unknown format accepted")
+		for _, format := range []int{1, 99} {
+			bad := cp
+			bad.Format = format
+			if err := e.Restore(bad); err == nil {
+				t.Fatalf("checkpoint format %d accepted", format)
+			}
 		}
 	}
 	if e, _ := New(us.Rt, Config{Window: 3}); true {
@@ -296,10 +285,7 @@ func TestRestoreCadenceAcrossConfigChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	backoff := Config{Window: 3, ResolveEvery: 2, ResolveMaxEvery: 16, DriftThreshold: 0.5}
-	orig, err := New(sc.Rt, backoff)
-	if err != nil {
-		t.Fatal(err)
-	}
+	orig := hostedNew(t, sc.Rt, backoff)
 	runReplay(t, sc, orig, 10) // steady enough to double the cadence at least once
 	cp := orig.Checkpoint()
 	if cp.CurEvery <= backoff.ResolveEvery {
@@ -307,10 +293,7 @@ func TestRestoreCadenceAcrossConfigChange(t *testing.T) {
 	}
 
 	curEveryAfter := func(cfg Config) int {
-		e, err := New(sc.Rt, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := hostedNew(t, sc.Rt, cfg)
 		if err := e.Restore(cp); err != nil {
 			t.Fatal(err)
 		}
@@ -392,10 +375,11 @@ func TestCheckpointDuringRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Window: 4, ResolveEvery: 2, ResolveMaxIter: 500}
-	eng, err := New(sc.Rt, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := hostedNew(t, sc.Rt, cfg)
+	// Probes are restored but never run, so nothing ever parks for their
+	// hook to announce.
+	probeCfg := cfg
+	probeCfg.ResolveDispatch = func() {}
 	store := collector.NewStore(sc.Net.NumPairs())
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -415,7 +399,7 @@ func TestCheckpointDuringRun(t *testing.T) {
 			t.Fatalf("checkpoint %d: cursor %d vs newest ring interval %d", i, cp.Next, cp.Ring[n-1].Interval)
 		}
 		if len(cp.Ring) > 0 {
-			probe, err := New(sc.Rt, cfg)
+			probe, err := New(sc.Rt, probeCfg)
 			if err != nil {
 				t.Fatal(err)
 			}

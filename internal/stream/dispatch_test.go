@@ -6,16 +6,52 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"repro/internal/collector"
 	"repro/internal/netsim"
+	"repro/internal/topology"
 )
 
-// TestDispatchModeParksResolves pins the injected-dispatch contract the
-// fleet builds on: with Config.ResolveDispatch set the engine never
-// solves on its own — scheduled windows park until the host calls
-// TryResolve — and the hook fires once per parked window.
+// hostedNew creates an engine hosted the way internal/fleet hosts its
+// engines: a coalescing kick hook (Config.ResolveDispatch) wakes a
+// resolver goroutine that runs each parked re-solve with TryResolve. The
+// resolver outlives Run and stops in t.Cleanup.
+func hostedNew(t *testing.T, rt *topology.Routing, cfg Config) *Engine {
+	t.Helper()
+	kick := make(chan struct{}, 1)
+	cfg.ResolveDispatch = func() {
+		select {
+		case kick <- struct{}{}:
+		default:
+		}
+	}
+	eng, err := New(rt, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-kick:
+				eng.TryResolve(ctx)
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+	return eng
+}
+
+// TestDispatchModeParksResolves pins the dispatch contract every host
+// builds on: the engine never solves on its own — scheduled windows park
+// until the host calls TryResolve — and Config.ResolveDispatch fires
+// once per parked window.
 func TestDispatchModeParksResolves(t *testing.T) {
 	sc, err := netsim.BuildEurope(1)
 	if err != nil {
@@ -43,7 +79,7 @@ func TestDispatchModeParksResolves(t *testing.T) {
 		t.Fatal("no snapshot after replay")
 	}
 	if snap.Resolve != nil {
-		t.Fatal("engine solved on its own despite dispatch mode")
+		t.Fatal("engine solved on its own; re-solves must wait for TryResolve")
 	}
 	if !eng.ResolvePending() {
 		t.Fatal("no parked re-solve after scheduled windows")
@@ -67,75 +103,6 @@ func TestDispatchModeParksResolves(t *testing.T) {
 	}
 	if snap.ResolveMRE < 0 || math.IsNaN(snap.ResolveMRE) {
 		t.Fatalf("implausible resolve MRE %v", snap.ResolveMRE)
-	}
-}
-
-// TestDispatchMatchesWorker proves moving the re-solve onto a host
-// goroutine changes nothing about the estimate: with exactly one solve
-// scheduled (so both engines solve the same window cold, with the same
-// budget), the dispatch-mode host's TryResolve must publish the same
-// vector the worker-mode engine does.
-func TestDispatchMatchesWorker(t *testing.T) {
-	sc, err := netsim.BuildEurope(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const cycles = 6
-	base := Config{Window: 3, ResolveEvery: cycles} // one solve, at the last interval
-
-	worker, err := New(sc.Rt, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := collector.NewStore(sc.Net.NumPairs())
-	runCtx, cancelRun := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancelRun()
-	done := make(chan error, 1)
-	go func() { done <- worker.Run(runCtx, store) }()
-	if err := collector.Replay(runCtx, store, sc.Series, cycles, 0); err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	// Wait for the one scheduled re-solve before shutting down: the
-	// worker drains without solving once the context is cancelled.
-	var want Snapshot
-	deadline := time.Now().Add(time.Minute)
-	for {
-		var ok bool
-		if want, ok = worker.Latest(); ok && want.Resolve != nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("worker engine never published its re-solve")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	cancelRun()
-	<-done
-	if want.ResolveInterval != cycles-1 {
-		t.Fatalf("worker re-solve covered interval %d, want %d", want.ResolveInterval, cycles-1)
-	}
-
-	cfgD := base
-	cfgD.ResolveDispatch = func() {}
-	dispatch, err := New(sc.Rt, cfgD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayInto(t, sc, dispatch, cycles, cycles)
-	if !dispatch.TryResolve(context.Background()) {
-		t.Fatal("no parked re-solve on the dispatch engine")
-	}
-	got, _ := dispatch.Latest()
-	if got.Resolve == nil || got.ResolveInterval != cycles-1 {
-		t.Fatalf("dispatch re-solve missing or at interval %d, want %d", got.ResolveInterval, cycles-1)
-	}
-	if len(got.Resolve) != len(want.Resolve) {
-		t.Fatalf("dispatch resolve has %d demands, worker %d", len(got.Resolve), len(want.Resolve))
-	}
-	for p := range want.Resolve {
-		if d := math.Abs(got.Resolve[p] - want.Resolve[p]); d > 1e-9 {
-			t.Fatalf("demand %d: dispatch %v vs worker %v (diff %g)", p, got.Resolve[p], want.Resolve[p], d)
-		}
 	}
 }
 
@@ -177,12 +144,7 @@ func TestPublishedVersionHasParkedResolve(t *testing.T) {
 					runtime.Gosched()
 				}
 			}
-			select {
-			case w := <-eng.work:
-				if w.interval != want {
-					failures <- want
-				}
-			default:
+			if w := eng.pending.Swap(nil); w == nil || w.interval != want {
 				failures <- want
 			}
 			observed <- struct{}{}

@@ -6,9 +6,11 @@
 // incremental gravity estimate (eq. 5) after every consumed interval, and
 // periodically schedules a full re-solve — entropy (eq. 6), Bayesian
 // (eq. 7), Vardi's second-moment method (§4.2.2) or the paper's
-// constant-fanout estimator (§4.2.4) — on a dedicated latest-wins worker,
-// so a slow solve never blocks interval ingestion and a stale pending
-// window is superseded rather than queued.
+// constant-fanout estimator (§4.2.4). A scheduled re-solve is parked in a
+// one-slot latest-wins mailbox and the host is pinged through
+// Config.ResolveDispatch; the host runs it with TryResolve on a goroutine
+// of its own, so a slow solve never blocks interval ingestion and a stale
+// pending window is superseded rather than queued.
 //
 // Because backbone demand drifts slowly between intervals (the premise
 // of the paper's Figs. 4–5), each full re-solve is warm-started from the
@@ -103,15 +105,14 @@ type Config struct {
 	// MetricsHistory bounds the error-metric ring kept for Metrics().
 	// Defaults to 1024 points.
 	MetricsHistory int
-	// ResolveDispatch, when non-nil, moves full re-solves off the
-	// engine's own worker goroutine and into the host's hands: each
-	// scheduled window is parked as the engine's single pending re-solve
-	// (latest wins, exactly as in worker mode) and ResolveDispatch is
-	// called once per parking so the host knows work is waiting. The
-	// host then calls TryResolve — typically on a shared worker pool
-	// shared by many engines (internal/fleet) — to execute it.
-	// ResolveDispatch runs on the engine's ingestion goroutine and must
-	// not block.
+	// ResolveDispatch is the host hook that runs full re-solves; it is
+	// required whenever ResolveEvery > 0. The engine never solves on its
+	// own: each scheduled window is parked as its single pending
+	// re-solve (latest wins) and ResolveDispatch is called once per
+	// parking so the host knows work is waiting. The host then calls
+	// TryResolve — from its own goroutine, or from a worker pool shared
+	// by many engines (internal/fleet) — to execute it. ResolveDispatch
+	// runs on the engine's ingestion goroutine and must not block.
 	ResolveDispatch func()
 	// Solve, when non-nil, shares routing-matrix-derived solver artifacts
 	// (power-iteration operator norms, Vardi moment assemblies) across
@@ -120,13 +121,12 @@ type Config struct {
 	// engine a private cache, which still amortizes those artifacts
 	// across its own re-solves.
 	Solve *core.SolveCache
-	// OnResolve, when non-nil, observes every completed full re-solve —
-	// worker-mode and dispatch-mode alike — with its wall-clock
-	// duration, solver iteration count and warm/cold start. The hook is
-	// how hosts feed latency histograms (internal/fleet's Prometheus
-	// registry) without polling. It runs on the solving goroutine,
-	// outside the engine's locks, and must not call back into the
-	// engine.
+	// OnResolve, when non-nil, observes every completed full re-solve
+	// with its wall-clock duration, solver iteration count and warm/cold
+	// start. The hook is how hosts feed latency histograms
+	// (internal/fleet's Prometheus registry) without polling. It runs on
+	// the TryResolve caller's goroutine, outside the engine's locks, and
+	// must not call back into the engine.
 	OnResolve func(d time.Duration, iters int, warm bool)
 	// AnomalyFactor, when > 0, enables the drift-anomaly detector — the
 	// paper's classic downstream use of TM estimation. An interval
@@ -301,7 +301,8 @@ type Engine struct {
 	cfg Config
 
 	// started flips once: Run is documented "at most once", and a second
-	// call must fail cleanly instead of double-closing e.work.
+	// call must fail cleanly instead of running a second ingestion loop
+	// over the same cursor.
 	started atomic.Bool
 
 	mu      sync.RWMutex
@@ -312,7 +313,8 @@ type Engine struct {
 
 	// stateMu guards the consumption and warm-start state below, so
 	// Checkpoint can capture a consistent view while the Run goroutine
-	// and the resolve worker advance it. Never held together with mu.
+	// and the host's TryResolve caller advance it. Never held together
+	// with mu.
 	// rt lives here too since SwapRouting replaces it mid-stream; the
 	// ingestion path reads it under the lock and re-solves pin the
 	// routing they were scheduled with (resolveWork.rt).
@@ -341,20 +343,21 @@ type Engine struct {
 	anomIdx    int
 	anomActive bool
 	anomCount  int
-	// Warm-start state, advanced by the resolve worker on every
-	// successful solve: the previous estimate (the x0 of the next one)
+	// Warm-start state, advanced by TryResolve on every successful
+	// solve: the previous estimate (the x0 of the next one)
 	// and, for MethodFanout, the previous solved fanout iterate.
 	warmEst   linalg.Vector
 	warmAlpha linalg.Vector
 
-	work     chan resolveWork
-	workerWG sync.WaitGroup
+	// pending is the one-slot latest-wins mailbox of the parked re-solve
+	// (nil when nothing is parked). publish stores into it under mu;
+	// TryResolve empties it.
+	pending atomic.Pointer[resolveWork]
 
 	// Buffer arena, reused between publications instead of allocating per
 	// interval / per re-solve. Single-owner invariants: the ingestion
-	// goroutine (consume) owns teBuf/txBuf and ingestWS; whichever
-	// goroutine executes resolve — the engine's own worker or the host's
-	// TryResolve caller, never both at once — owns ws and meanBuf.
+	// goroutine (consume) owns teBuf/txBuf and ingestWS; the host's
+	// TryResolve caller — at most one at a time — owns ws and meanBuf.
 	// Everything a published Snapshot or a parked resolveWork retains
 	// (mean, gravity, fanouts, estimates, ring load vectors) stays
 	// freshly allocated and is never recycled.
@@ -399,6 +402,9 @@ func New(rt *topology.Routing, cfg Config) (*Engine, error) {
 	if cfg.ResolveMaxEvery > cfg.ResolveEvery && cfg.DriftThreshold == 0 {
 		return nil, fmt.Errorf("stream: cadence back-off needs a drift threshold")
 	}
+	if cfg.ResolveEvery > 0 && cfg.ResolveDispatch == nil {
+		return nil, fmt.Errorf("stream: re-solves need a ResolveDispatch hook (the host runs them with TryResolve)")
+	}
 	if cfg.ResolveMaxIter <= 0 {
 		cfg.ResolveMaxIter = 20000
 	}
@@ -440,7 +446,6 @@ func New(rt *topology.Routing, cfg Config) (*Engine, error) {
 		loadSum:   linalg.NewVector(rt.R.Rows()),
 		demandSum: linalg.NewVector(rt.Net.NumPairs()),
 		curEvery:  cfg.ResolveEvery,
-		work:      make(chan resolveWork, 1),
 		teBuf:     linalg.NewVector(rt.Net.NumPoPs()),
 		txBuf:     linalg.NewVector(rt.Net.NumPoPs()),
 		ingestWS:  core.NewWorkspace(cfg.Solve),
@@ -448,26 +453,20 @@ func New(rt *topology.Routing, cfg Config) (*Engine, error) {
 	}, nil
 }
 
-// Run subscribes to the store and processes poll windows until ctx is
-// done (returning ctx.Err()) or the subscription is closed by the store
-// shutting down (returning nil). It must be called at most once; a
-// second call returns an error without touching the running stream. Any
-// intervals already in the store are consumed immediately, so Run may be
-// started before, during or after the collection it watches.
+// Run subscribes to the store and processes poll windows on the calling
+// goroutine until ctx is done (returning ctx.Err()) or the subscription
+// is closed by the store shutting down (returning nil). It starts no
+// goroutine: scheduled re-solves are parked for the host's TryResolve.
+// It must be called at most once; a second call returns an error
+// without touching the running stream. Any intervals already in the
+// store are consumed immediately, so Run may be started before, during
+// or after the collection it watches.
 func (e *Engine) Run(ctx context.Context, store *collector.Store) error {
 	if !e.started.CompareAndSwap(false, true) {
 		return fmt.Errorf("stream: Engine.Run called more than once")
 	}
 	updates, cancel := store.Subscribe()
 	defer cancel()
-	if e.cfg.ResolveDispatch == nil {
-		e.workerWG.Add(1)
-		go e.resolveWorker(ctx)
-		defer func() {
-			close(e.work)
-			e.workerWG.Wait()
-		}()
-	}
 	e.scan(store)
 	for {
 		select {
@@ -682,7 +681,7 @@ func (e *Engine) consume(interval int, rates linalg.Vector, covered int) {
 		park = &resolveWork{rt: rt, interval: interval, loads: loadsCopy, mean: mean, thresh: thresh}
 	}
 	e.publish(snap, park)
-	if park != nil && e.cfg.ResolveDispatch != nil {
+	if park != nil {
 		e.cfg.ResolveDispatch()
 	}
 }
@@ -734,20 +733,9 @@ func (e *Engine) publish(snap Snapshot, park *resolveWork) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if park != nil {
-		// Latest wins: drop a pending (not yet started) re-solve in favor
-		// of the newer window.
-		select {
-		case e.work <- *park:
-		default:
-			select {
-			case <-e.work:
-			default:
-			}
-			select {
-			case e.work <- *park:
-			default:
-			}
-		}
+		// Latest wins: a pending (not yet taken) re-solve is replaced by
+		// the newer window.
+		e.pending.Store(park)
 	}
 	prev := e.snap
 	snap.Version = prev.Version + 1
@@ -767,7 +755,7 @@ func (e *Engine) publish(snap Snapshot, park *resolveWork) {
 // publishResolve merges a completed re-solve into whatever the current
 // snapshot is by then — never regressing the window state, which may
 // have advanced while the solve ran — and publishes the result.
-func (e *Engine) publishResolve(est linalg.Vector, w resolveWork, iters int, warm bool, d time.Duration) {
+func (e *Engine) publishResolve(est linalg.Vector, w *resolveWork, iters int, warm bool, d time.Duration) {
 	if e.cfg.OnResolve != nil {
 		e.cfg.OnResolve(d, iters, warm)
 	}
@@ -821,61 +809,42 @@ func (e *Engine) installLocked(snap Snapshot) {
 	e.waiters = e.waiters[:0]
 }
 
-// resolveWorker runs full re-solves one at a time on its own goroutine.
-func (e *Engine) resolveWorker(ctx context.Context) {
-	defer e.workerWG.Done()
-	for w := range e.work {
-		if ctx.Err() != nil {
-			continue // drain without solving during shutdown
-		}
-		t0 := time.Now()
-		est, iters, warm, err := e.resolve(w)
-		if err != nil {
-			continue // a failed re-solve never unpublishes the previous one
-		}
-		e.publishResolve(est, w, iters, warm, time.Since(t0))
-	}
-}
-
 // ResolvePending reports whether a scheduled full re-solve is parked
-// waiting for TryResolve. It is a scheduling hint for dispatch-mode
-// hosts (Config.ResolveDispatch): the answer may be stale by the time
-// the host acts on it, which TryResolve tolerates.
-func (e *Engine) ResolvePending() bool { return len(e.work) > 0 }
+// waiting for TryResolve. It is a scheduling hint for the host: the
+// answer may be stale by the time the host acts on it, which TryResolve
+// tolerates.
+func (e *Engine) ResolvePending() bool { return e.pending.Load() != nil }
 
 // TryResolve executes at most one parked full re-solve on the calling
 // goroutine and publishes its result, reporting whether it consumed
-// one. A re-solve is parked before the snapshot that scheduled it
-// becomes observable (see WaitVersion), so a caller woken at that
-// version finds it here unless another resolver took it first or a
-// newer window replaced it. It is the dispatch-mode
-// (Config.ResolveDispatch) counterpart of the engine's own resolve
-// worker and carries the same invariant: at
-// most one re-solve per engine may be in flight, so a host must not
-// call it concurrently for the same engine. A nothing-pending call
-// returns false immediately; once ctx is done the parked work is still
-// consumed — and reported as consumed — but no longer solved (the
-// shutdown drain).
+// one. It is the only way a re-solve runs: the host calls it after
+// Config.ResolveDispatch fires. A re-solve is parked before the
+// snapshot that scheduled it becomes observable (see WaitVersion), so a
+// caller woken at that version finds it here unless another resolver
+// took it first or a newer window replaced it. At most one re-solve per
+// engine may be in flight, so a host must not call it concurrently for
+// the same engine. A nothing-pending call returns false immediately;
+// once ctx is done the parked work is still consumed — and reported as
+// consumed — but no longer solved (the shutdown drain).
 func (e *Engine) TryResolve(ctx context.Context) bool {
-	select {
-	case w := <-e.work:
-		if ctx.Err() != nil {
-			return true // consumed, deliberately unsolved
-		}
-		t0 := time.Now()
-		est, iters, warm, err := e.resolve(w)
-		if err != nil {
-			return true // a failed re-solve never unpublishes the previous one
-		}
-		e.publishResolve(est, w, iters, warm, time.Since(t0))
-		return true
-	default:
+	w := e.pending.Swap(nil)
+	if w == nil {
 		return false
 	}
+	if ctx.Err() != nil {
+		return true // consumed, deliberately unsolved
+	}
+	t0 := time.Now()
+	est, iters, warm, err := e.resolve(w)
+	if err != nil {
+		return true // a failed re-solve never unpublishes the previous one
+	}
+	e.publishResolve(est, w, iters, warm, time.Since(t0))
+	return true
 }
 
 // takeWarm returns the warm-start iterates for the next re-solve (nil
-// means cold). Locked: Restore seeds them before Run, the worker
+// means cold). Locked: Restore seeds them before Run, TryResolve
 // advances them, Checkpoint reads them.
 func (e *Engine) takeWarm() (est, alpha linalg.Vector) {
 	e.stateMu.Lock()
@@ -898,7 +867,7 @@ func (e *Engine) setWarm(est, alpha linalg.Vector) {
 
 // resolve executes the configured full estimation method on one window,
 // warm-started from the previous published estimate when one exists.
-func (e *Engine) resolve(w resolveWork) (est linalg.Vector, iters int, warm bool, err error) {
+func (e *Engine) resolve(w *resolveWork) (est linalg.Vector, iters int, warm bool, err error) {
 	warmEst, warmAlpha := e.takeWarm()
 	o := core.Opts{WS: e.ws, X0: warmEst, MaxIter: e.cfg.ResolveMaxIter, Tol: e.cfg.ResolveTol}
 	switch e.cfg.Method {

@@ -153,10 +153,7 @@ func TestResolvePublishes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(sc.Rt, Config{Window: 4, ResolveEvery: 3, Method: MethodEntropy})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := hostedNew(t, sc.Rt, Config{Window: 4, ResolveEvery: 3, Method: MethodEntropy})
 	store := collector.NewStore(sc.Net.NumPairs())
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -370,5 +367,8 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(sc.Rt, Config{Method: "nonsense"}); err == nil {
 		t.Fatal("unknown method accepted")
+	}
+	if _, err := New(sc.Rt, Config{ResolveEvery: 2}); err == nil {
+		t.Fatal("re-solves without a ResolveDispatch hook accepted (they would park forever)")
 	}
 }

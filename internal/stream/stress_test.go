@@ -49,10 +49,7 @@ func concurrentReaderStress(t *testing.T, cfg Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(sc.Rt, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := hostedNew(t, sc.Rt, cfg)
 	store := collector.NewStore(sc.Net.NumPairs())
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()

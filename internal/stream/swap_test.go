@@ -12,7 +12,7 @@ import (
 	"repro/internal/topology"
 )
 
-// swapHarness drives one dispatch-mode engine interval by interval, so
+// swapHarness drives one engine interval by interval, so
 // tests control exactly what is consumed and when parked re-solves run.
 type swapHarness struct {
 	t       *testing.T
@@ -48,8 +48,8 @@ func newSwapHarness(t *testing.T, sc *netsim.Scenario, rt *topology.Routing, cfg
 }
 
 // feed ingests base-series intervals [from, to) in full and waits for
-// each publication; the engine never resolves on its own (dispatch
-// mode), so versions advance exactly one per interval.
+// each publication; the harness's hook runs no parked re-solve (only
+// resolve does), so versions advance exactly one per interval.
 func (h *swapHarness) feed(from, to int) Snapshot {
 	h.t.Helper()
 	return h.feedShifted(from, to, 0)
@@ -344,25 +344,4 @@ func TestCheckpointCarriesTopologyEpoch(t *testing.T) {
 	}
 	cancel()
 	<-done
-}
-
-// TestRestoreReadsFormatOne keeps pre-epoch checkpoints loadable: a
-// format-1 file (no topology_epoch field) restores as epoch 0.
-func TestRestoreReadsFormatOne(t *testing.T) {
-	sc, err := netsim.BuildEurope(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := newSwapHarness(t, sc, sc.Rt, Config{Window: 3})
-	h.feed(0, 4)
-	cp := h.eng.Checkpoint()
-	cp.Format = 1
-	cp.TopologyEpoch = 0
-	fresh, err := New(sc.Rt, Config{Window: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.Restore(cp); err != nil {
-		t.Fatalf("format-1 checkpoint rejected: %v", err)
-	}
 }

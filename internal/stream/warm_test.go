@@ -27,7 +27,7 @@ func waitResolve(t *testing.T, eng *Engine, ctx context.Context, interval int) S
 
 // TestRunTwiceReturnsError pins the double-Run guard: Run is documented
 // "at most once", and the second call must return an error instead of
-// double-closing the work channel and panicking.
+// running a second ingestion loop over the engine's single cursor.
 func TestRunTwiceReturnsError(t *testing.T) {
 	sc, err := netsim.BuildEurope(1)
 	if err != nil {
@@ -44,7 +44,7 @@ func TestRunTwiceReturnsError(t *testing.T) {
 	for !eng.started.Load() { // wait out the goroutine's startup
 		time.Sleep(time.Millisecond)
 	}
-	// Second concurrent call must fail fast, not panic.
+	// Second concurrent call must fail fast.
 	if err := eng.Run(ctx, store); err == nil {
 		t.Fatal("second concurrent Run succeeded")
 	}
@@ -53,7 +53,7 @@ func TestRunTwiceReturnsError(t *testing.T) {
 		t.Fatalf("first Run returned %v, want context.Canceled", err)
 	}
 	// And a call after the first has finished must fail too: the engine's
-	// worker and subscription are gone for good.
+	// subscription is gone for good.
 	if err := eng.Run(context.Background(), store); err == nil {
 		t.Fatal("Run after completed Run succeeded")
 	}
@@ -67,10 +67,7 @@ func TestSnapshotVectorsAreDeepCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(sc.Rt, Config{Window: 3, ResolveEvery: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := hostedNew(t, sc.Rt, Config{Window: 3, ResolveEvery: 2})
 	store := collector.NewStore(sc.Net.NumPairs())
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -111,10 +108,7 @@ func TestWarmStartTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(sc.Rt, Config{Window: 4, ResolveEvery: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := hostedNew(t, sc.Rt, Config{Window: 4, ResolveEvery: 2})
 	store := collector.NewStore(sc.Net.NumPairs())
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -168,10 +162,7 @@ func TestAdaptiveCadenceDriftTrigger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(sc.Rt, Config{Window: 4, ResolveEvery: 50, DriftThreshold: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := hostedNew(t, sc.Rt, Config{Window: 4, ResolveEvery: 50, DriftThreshold: 0.2})
 	store := collector.NewStore(sc.Net.NumPairs())
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -221,10 +212,7 @@ func TestAdaptiveCadenceBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(sc.Rt, Config{Window: 4, ResolveEvery: 2, ResolveMaxEvery: 4, DriftThreshold: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := hostedNew(t, sc.Rt, Config{Window: 4, ResolveEvery: 2, ResolveMaxEvery: 4, DriftThreshold: 0.5})
 	store := collector.NewStore(sc.Net.NumPairs())
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -293,13 +281,16 @@ func TestConfigValidationAdaptive(t *testing.T) {
 	if _, err := New(sc.Rt, Config{DriftThreshold: 0.1}); err == nil {
 		t.Fatal("drift threshold without re-solves accepted (it would be silently inert)")
 	}
-	if _, err := New(sc.Rt, Config{ResolveEvery: 2, ResolveMaxEvery: -4}); err == nil {
+	// Re-solving configs carry a hook, so each case fails (or passes) on
+	// the knob it is about, not on the missing ResolveDispatch.
+	hook := func() {}
+	if _, err := New(sc.Rt, Config{ResolveEvery: 2, ResolveMaxEvery: -4, ResolveDispatch: hook}); err == nil {
 		t.Fatal("negative resolve-max-every accepted")
 	}
-	if _, err := New(sc.Rt, Config{ResolveEvery: 2, ResolveMaxEvery: 8}); err == nil {
+	if _, err := New(sc.Rt, Config{ResolveEvery: 2, ResolveMaxEvery: 8, ResolveDispatch: hook}); err == nil {
 		t.Fatal("back-off without a drift threshold accepted")
 	}
-	if _, err := New(sc.Rt, Config{ResolveEvery: 2, ResolveMaxEvery: 8, DriftThreshold: 0.1}); err != nil {
+	if _, err := New(sc.Rt, Config{ResolveEvery: 2, ResolveMaxEvery: 8, DriftThreshold: 0.1, ResolveDispatch: hook}); err != nil {
 		t.Fatalf("valid adaptive config rejected: %v", err)
 	}
 }
