@@ -15,9 +15,12 @@ test-short:
 	$(GO) test -short -race ./...
 
 # Concurrency stress, as run by CI's stress job: the goroutine-heavy
-# packages repeated under the race detector.
+# packages repeated under the race detector, then 10 s of fuzzing the
+# checkpoint decoder (-fuzzminimizetime caps the shrinking of each new
+# corpus entry, which at the default 60 s would eat the whole budget).
 stress:
 	$(GO) test -race -count=10 ./internal/stream/ ./internal/fleet/ ./internal/serve/ ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz FuzzCheckpointRestore -fuzztime 10s -fuzzminimizetime 200x ./internal/stream/
 
 # Full driver-by-driver benchmarks plus the serial-vs-parallel suite
 # comparison. Narrow with e.g. BENCH='FullSuite'.
@@ -25,15 +28,14 @@ BENCH ?= .
 bench:
 	$(GO) test -timeout 60m -bench '$(BENCH)' -benchtime 1x -run '^$$' .
 
-# Regenerate a checked-in benchmark baseline (BASELINE names the output;
-# each PR that moves the perf trajectory writes its own BENCH_prN.json
-# next to the seed's). Absolute numbers are machine-dependent; the
-# baselines exist so successive PRs on the same hardware have a perf
-# trajectory to diff against.
+# Regenerate the checked-in benchmark baseline (BASELINE names the
+# output). Absolute numbers are machine-dependent; the baseline exists
+# so successive changes on the same hardware have a perf trajectory to
+# diff against.
 # The awk locates each unit token instead of using fixed field numbers:
 # benchmarks that b.ReportMetric a custom metric (e.g. MRE) print it
 # between ns/op and B/op, which would shift positional fields.
-BASELINE ?= BENCH_seed.json
+BASELINE ?= BENCH.json
 bench-baseline:
 	$(GO) test -timeout 60m -bench . -benchtime 1x -benchmem -run '^$$' . > bench.out
 	awk 'BEGIN { print "{"; first=1 } \
@@ -52,13 +54,13 @@ bench-baseline:
 
 # Benchmark regression gate, as run by CI's bench job: the scale
 # benchmarks plus two seed-era anchors, compared against the checked-in
-# baselines at a 2x ns/op threshold and — via -benchmem — a 2x allocs/op
-# threshold (cmd/benchdiff; first baseline containing a benchmark wins).
+# baseline at a 2x ns/op threshold and — via -benchmem — a 2x allocs/op
+# threshold (cmd/benchdiff).
 # (No tee: the recipe must fail on go test's exit code, not the pipe
 # tail's, so a b.Fatal mid-run cannot produce a green partial gate.)
 bench-check:
 	$(GO) test -timeout 30m -bench 'Scale|Table1Vardi|ScenarioBuild|StreamResolve|FleetResolveFanout|SnapshotFanout|TimelineSwap|PromScrape' -benchtime 1x -benchmem -run '^$$' . > bench-check.out
-	$(GO) run ./cmd/benchdiff -factor 2 -alloc-factor 2 -baseline BENCH_pr10.json -baseline BENCH_pr8.json -baseline BENCH_seed.json -baseline BENCH_pr3.json -baseline BENCH_pr4.json -baseline BENCH_pr5.json -baseline BENCH_pr6.json -baseline BENCH_pr7.json bench-check.out
+	$(GO) run ./cmd/benchdiff -factor 2 -alloc-factor 2 -baseline $(BASELINE) bench-check.out
 	@rm -f bench-check.out
 
 # Docs gate: every package carries a package comment, the README flag

@@ -372,7 +372,7 @@ func BenchmarkScaleEvaluate100(b *testing.B) {
 // shifted one interval past an already-solved one, at the engine's
 // default budget — cold (from the gravity prior) and warm (from the
 // adjacent window's solution). CI's bench job gates both against the
-// checked-in baselines; the >= 2x iteration ratio itself is pinned by
+// checked-in baseline; the >= 2x iteration ratio itself is pinned by
 // TestEntropyWarmStartEquivalentAndFaster in internal/core.
 
 var (

@@ -22,30 +22,24 @@ func TestBenchdiff(t *testing.T) {
   "BenchmarkAlpha": {"ns_per_op": 1000, "bytes_per_op": 1, "allocs_per_op": 1},
   "BenchmarkBeta": {"ns_per_op": 500, "bytes_per_op": 1, "allocs_per_op": 1}
 }`)
-	layer := write(t, dir, "pr.json", `{
-  "BenchmarkBeta": {"ns_per_op": 2000, "bytes_per_op": 1, "allocs_per_op": 1},
-  "BenchmarkGamma": {"ns_per_op": 300, "bytes_per_op": 1, "allocs_per_op": 1}
-}`)
 
-	t.Run("pass-with-layering", func(t *testing.T) {
-		// Beta at 900 ns/op: 1.8x vs the seed's 500 — but the first
-		// baseline listed wins, and listing the seed first means 900/500
-		// stays under 2x; Gamma only exists in the layered file.
+	t.Run("pass-and-new", func(t *testing.T) {
+		// Alpha 1.1x and Beta 1.8x stay under 2x (with or without a
+		// -GOMAXPROCS suffix); Delta has no baseline and passes as new.
 		bench := write(t, dir, "ok.out", strings.Join([]string{
 			"goos: linux",
 			"BenchmarkAlpha-8   \t10\t1100 ns/op",
-			"BenchmarkBeta-8    \t10\t900 ns/op",
-			"BenchmarkGamma     \t10\t500 ns/op",
+			"BenchmarkBeta      \t10\t900 ns/op",
 			"BenchmarkDelta-8   \t10\t999999 ns/op",
 			"PASS",
 		}, "\n"))
 		var sb strings.Builder
-		err := run([]string{"-baseline", seed, "-baseline", layer, "-min-ns", "0", bench}, &sb)
+		err := run([]string{"-baseline", seed, "-min-ns", "0", bench}, &sb)
 		if err != nil {
 			t.Fatalf("want pass, got %v\n%s", err, sb.String())
 		}
 		out := sb.String()
-		for _, want := range []string{"ok    BenchmarkAlpha", "ok    BenchmarkBeta", "ok    BenchmarkGamma", "NEW   BenchmarkDelta"} {
+		for _, want := range []string{"ok    BenchmarkAlpha", "ok    BenchmarkBeta", "NEW   BenchmarkDelta"} {
 			if !strings.Contains(out, want) {
 				t.Errorf("output lacks %q:\n%s", want, out)
 			}

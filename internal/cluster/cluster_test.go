@@ -119,9 +119,25 @@ func waitFor(t *testing.T, what string, timeout time.Duration, pred func() bool)
 	}
 }
 
-// TestRemoteHandle: the HTTP-backed handle observes a remote tenant
-// through the same surface a local one has.
-func TestRemoteHandle(t *testing.T) {
+// ownerTenant waits for the in-process owner's tenant to publish
+// version min and returns that snapshot.
+func ownerTenant(t *testing.T, ctx context.Context, m *member, min uint64) stream.Snapshot {
+	t.Helper()
+	ten, ok := m.f.Tenant("eu")
+	if !ok {
+		t.Fatalf("%s does not host eu", m.name)
+	}
+	snap, err := ten.WaitVersion(ctx, min)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// TestPullCheckpoint: the checkpoint transport fetches the owner's
+// handoff document, and every failure (unknown tenant, unreachable
+// owner) is an error naming the tenant and the node.
+func TestPullCheckpoint(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	srvs := newListeners(t, 2)
@@ -129,37 +145,72 @@ func TestRemoteHandle(t *testing.T) {
 	m1 := startMember(t, ctx, cfg, "n1", srvs[0])
 	m1.srv.Start()
 
-	r := cluster.NewRemote(euSpec, m1.addr, nil)
-	if r.Name() != "eu" || r.Spec().Source != "europe" {
-		t.Fatalf("identity: %s %s", r.Name(), r.Spec().Source)
+	snap := ownerTenant(t, ctx, m1, 2)
+	cp, err := cluster.PullCheckpoint(ctx, http.DefaultClient, m1.addr, "eu")
+	if err != nil || cp.Snapshot == nil || cp.Snapshot.Version < snap.Version {
+		t.Fatalf("PullCheckpoint: %v (snapshot %+v)", err, cp.Snapshot)
 	}
-	snap, err := r.WaitVersion(ctx, 2)
-	if err != nil || snap.Version < 2 {
-		t.Fatalf("WaitVersion: v%d, %v", snap.Version, err)
+	for _, c := range []struct{ addr, tenant string }{
+		{m1.addr, "ghost"},    // 404 from a live owner
+		{"127.0.0.1:1", "eu"}, // nobody listening
+	} {
+		_, err := cluster.PullCheckpoint(ctx, http.DefaultClient, c.addr, c.tenant)
+		if err == nil || !strings.Contains(err.Error(), c.tenant) || !strings.Contains(err.Error(), c.addr) {
+			t.Fatalf("pull %s from %s: %v, want an error naming both", c.tenant, c.addr, err)
+		}
 	}
-	if got, ok := r.Latest(); !ok || got.Version < 2 {
-		t.Fatalf("Latest: ok=%v v%d", ok, got.Version)
-	}
-	st := r.Status()
-	if st.Name != "eu" || !st.HaveSnapshot {
-		t.Fatalf("Status: %+v", st)
-	}
-	if v, _, ok := r.Position(); !ok || v < 2 {
-		t.Fatalf("Position: ok=%v v%d", ok, v)
-	}
-	waitFor(t, "metrics", 5*time.Second, func() bool { return len(r.Metrics()) > 0 })
-	cp, err := r.Checkpoint()
-	if err != nil || cp.Snapshot == nil {
-		t.Fatalf("Checkpoint: %v (snapshot %v)", err, cp.Snapshot != nil)
-	}
+}
 
-	// An unreachable owner degrades, not errors.
-	ghost := cluster.NewRemote(euSpec, "127.0.0.1:1", nil)
-	if st := ghost.Status(); st.State != fleet.StateUnreachable {
-		t.Fatalf("ghost status %q, want unreachable", st.State)
+// TestMigrateHonoursCancel: a migration whose checkpoint pull hangs
+// returns context.Canceled promptly once the caller gives up, and
+// leaves ownership where it was — nothing was adopted.
+func TestMigrateHonoursCancel(t *testing.T) {
+	pulled := make(chan struct{}, 1)
+	release := make(chan struct{})
+	adopts := make(chan struct{}, 1)
+	stub := func() *httptest.Server {
+		mux := http.NewServeMux()
+		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {})
+		mux.HandleFunc("/v1/t/eu/checkpoint", func(w http.ResponseWriter, r *http.Request) {
+			pulled <- struct{}{}
+			select {
+			case <-r.Context().Done():
+			case <-release:
+			}
+		})
+		mux.HandleFunc("/v1/cluster/adopt", func(w http.ResponseWriter, r *http.Request) {
+			adopts <- struct{}{}
+		})
+		srv := httptest.NewServer(mux)
+		t.Cleanup(srv.Close)
+		return srv
 	}
-	if _, ok := ghost.Latest(); ok {
-		t.Fatal("ghost served a snapshot")
+	srvs := []*httptest.Server{stub(), stub()}
+	t.Cleanup(func() { close(release) }) // runs before the servers close
+	cfg := twoNodeConfig(srvs, false)
+	co := cluster.NewCoordinator(cfg, nil, t.Logf)
+	co.Registry().Sweep(context.Background())
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() { errc <- co.Migrate(ctx, "eu", "n2") }()
+	<-pulled
+	cancel()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Migrate after cancel: %v, want context.Canceled", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Migrate still blocked 1s after its context was cancelled")
+	}
+	if owner, _ := co.Owner("eu"); owner != "n1" {
+		t.Fatalf("owner %q after a cancelled migration, want n1", owner)
+	}
+	select {
+	case <-adopts:
+		t.Fatal("a cancelled migration still posted an adopt")
+	default:
 	}
 }
 
@@ -179,10 +230,7 @@ func TestStandbySyncAndFailover(t *testing.T) {
 
 	// Let the owner publish, then let the standby sync a checkpoint
 	// that has a snapshot in it.
-	owner := cluster.NewRemote(euSpec, m1.addr, nil)
-	if _, err := owner.WaitVersion(ctx, 3); err != nil {
-		t.Fatal(err)
-	}
+	ownerTenant(t, ctx, m1, 3)
 	standbyFile := filepath.Join(m2.dir, "eu.ckpt")
 	var synced stream.Checkpoint
 	waitFor(t, "standby checkpoint sync", 10*time.Second, func() bool {
@@ -299,11 +347,7 @@ func TestCoordinatorMigrate(t *testing.T) {
 	m1.srv.Start()
 	m2.srv.Start()
 
-	owner := cluster.NewRemote(euSpec, m1.addr, nil)
-	pre, err := owner.WaitVersion(ctx, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pre := ownerTenant(t, ctx, m1, 3)
 
 	co := cluster.NewCoordinator(cfg, nil, t.Logf)
 	co.Registry().Sweep(ctx)
@@ -362,10 +406,7 @@ func TestCoordinatorRedirect(t *testing.T) {
 	m1 := startMember(t, ctx, cfg, "n1", srvs[0])
 	m1.srv.Start()
 
-	owner := cluster.NewRemote(euSpec, m1.addr, nil)
-	if _, err := owner.WaitVersion(ctx, 1); err != nil {
-		t.Fatal(err)
-	}
+	ownerTenant(t, ctx, m1, 1)
 	co := cluster.NewCoordinator(cfg, nil, t.Logf)
 	co.Registry().Sweep(ctx)
 	handler := serve.NewCoordinator(co, nil).Handler()

@@ -161,12 +161,13 @@ func (c *Coordinator) pickStandby(tenant, current string) (string, bool) {
 
 // Migrate moves a tenant to a named node via checkpoint handoff: pull
 // the current owner's checkpoint, ship it to the target's adopt
-// endpoint, repoint routing. The old owner keeps its engine running
-// (draining it is future work); routing just stops sending readers
-// there.
+// endpoint, repoint routing. Cancelling ctx aborts the pull, leaving
+// ownership unchanged; the adopt, once started, runs to its answer so
+// routing follows whatever the target did. The old owner keeps its
+// engine running (draining it is future work); routing just stops
+// sending readers there.
 func (c *Coordinator) Migrate(ctx context.Context, tenant, to string) error {
-	spec, ok := c.cfg.TenantSpec(tenant)
-	if !ok {
+	if _, ok := c.cfg.TenantSpec(tenant); !ok {
 		return fmt.Errorf("%w: %q", fleet.ErrUnknownTenant, tenant)
 	}
 	target, ok := c.cfg.Node(to)
@@ -184,11 +185,11 @@ func (c *Coordinator) Migrate(ctx context.Context, tenant, to string) error {
 	if err != nil {
 		return fmt.Errorf("cluster: migrate %s: %w", tenant, err)
 	}
-	cp, err := NewRemote(spec, source.Addr, c.client).Checkpoint()
+	cp, err := pullCheckpoint(ctx, c.client, source.Addr, tenant)
 	if err != nil {
 		return err
 	}
-	if err := NewRemote(spec, target.Addr, c.client).Restore(cp); err != nil {
+	if err := adoptCheckpoint(ctx, c.client, target.Addr, tenant, cp); err != nil {
 		return err
 	}
 	c.mu.Lock()

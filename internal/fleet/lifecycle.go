@@ -20,31 +20,19 @@ var (
 	ErrAlreadyHosted = errors.New("tenant already hosted here")
 )
 
-// StateUnreachable is the lifecycle state a remotely-owned tenant
-// reports when its owning node cannot be reached: not failed (the
-// engine may be fine behind a partition), but not observable either.
-const StateUnreachable TenantState = "unreachable"
-
-// Handle is the tenant lifecycle surface the serving and cluster
-// layers program against: status, snapshot serving (Latest,
-// WaitVersion, Metrics, Position) and the checkpoint half of
-// persistence — Checkpoint ships the tenant's state out, Restore
-// installs shipped state. A locally-owned *Tenant and a remotely-owned
-// tenant (internal/cluster's HTTP-backed handle) satisfy it
-// identically, which is what makes checkpoint-handoff migration
-// possible: the code that syncs, ships and restores state never knows
-// which side of the process boundary a tenant lives on. The run half
-// of the lifecycle (ingestion, collection, the persist loop) stays
-// with the owning runtime — Fleet.Run or Fleet.Adopt locally, the peer
-// node's fleet remotely — and moves between owners only through
-// Checkpoint/Restore.
+// Handle is the serving seam over a locally-owned tenant: the
+// identity, snapshot and checkpoint reads the serving layer makes
+// (internal/serve reads every tenant through it, and serves Checkpoint
+// as the cluster's handoff document). *Tenant is the implementation;
+// the interface lets a server front any set of tenants, or a test
+// stub. Lifecycle control (status, restore, adoption) stays on the
+// concrete *Tenant and *Fleet, and a tenant's state moves between
+// nodes only as a checkpoint (see internal/cluster).
 type Handle interface {
 	// Name returns the tenant's unique name.
 	Name() string
 	// Spec returns the spec the tenant was declared with.
 	Spec() TenantSpec
-	// Status reports lifecycle state and snapshot position.
-	Status() Status
 	// Latest returns the most recent published snapshot, if any.
 	Latest() (stream.Snapshot, bool)
 	// WaitVersion blocks until a snapshot with Version >= min is
@@ -56,16 +44,10 @@ type Handle interface {
 	Position() (version uint64, interval int, ok bool)
 	// Checkpoint captures the tenant's current engine state — the
 	// migration handoff document.
-	Checkpoint() (stream.Checkpoint, error)
-	// Restore installs a checkpoint: warm-start iterate, topology epoch,
-	// metrics history and all. For a local tenant the engine must not
-	// have consumed past it; a remote handle ships the checkpoint to the
-	// owning node instead.
-	Restore(cp stream.Checkpoint) error
+	Checkpoint() stream.Checkpoint
 }
 
-// Compile-time proof that a locally-owned tenant satisfies the
-// lifecycle interface.
+// Compile-time proof that a tenant satisfies the serving interface.
 var _ Handle = (*Tenant)(nil)
 
 // Latest returns the tenant's most recent published snapshot.
@@ -83,9 +65,8 @@ func (t *Tenant) Metrics() []stream.MetricPoint { return t.eng.Metrics() }
 func (t *Tenant) Position() (uint64, int, bool) { return t.eng.Position() }
 
 // Checkpoint captures the tenant's current engine state. Safe while
-// the tenant runs; never fails locally (the error is for remote
-// handles, where the wire can).
-func (t *Tenant) Checkpoint() (stream.Checkpoint, error) { return t.eng.Checkpoint(), nil }
+// the tenant runs.
+func (t *Tenant) Checkpoint() stream.Checkpoint { return t.eng.Checkpoint() }
 
 // Restore installs a checkpoint on the tenant's engine. A script
 // tenant is first moved onto the checkpoint's topology epoch by
@@ -115,7 +96,7 @@ func (t *Tenant) Restore(cp stream.Checkpoint) error {
 	return t.armSwaps()
 }
 
-// Handles returns every tenant as a lifecycle handle, in declaration
+// Handles returns every tenant as a serving handle, in declaration
 // order — the view the serving layer reads through.
 func (f *Fleet) Handles() []Handle {
 	tenants := f.Tenants()
@@ -126,7 +107,7 @@ func (f *Fleet) Handles() []Handle {
 	return out
 }
 
-// Handle looks a tenant's lifecycle handle up by name.
+// Handle looks a tenant's serving handle up by name.
 func (f *Fleet) Handle(name string) (Handle, bool) {
 	t, ok := f.Tenant(name)
 	if !ok {

@@ -117,7 +117,6 @@ type stubHandle struct {
 
 func (h stubHandle) Name() string           { return h.name }
 func (h stubHandle) Spec() fleet.TenantSpec { return fleet.TenantSpec{Name: h.name} }
-func (h stubHandle) Status() fleet.Status   { return fleet.Status{Name: h.name} }
 func (h stubHandle) Metrics() []stream.MetricPoint {
 	return []stream.MetricPoint{{Version: h.version}}
 }
@@ -128,8 +127,7 @@ func (h stubHandle) Latest() (stream.Snapshot, bool) {
 func (h stubHandle) WaitVersion(ctx context.Context, min uint64) (stream.Snapshot, error) {
 	return stream.Snapshot{Version: h.version}, nil
 }
-func (h stubHandle) Checkpoint() (stream.Checkpoint, error) { return stream.Checkpoint{}, nil }
-func (h stubHandle) Restore(cp stream.Checkpoint) error     { return nil }
+func (h stubHandle) Checkpoint() stream.Checkpoint { return stream.Checkpoint{} }
 
 // TestHubShedWaiters: refusals at the waiter cap are counted — the
 // signal behind tm_shed_waiters_total.

@@ -24,13 +24,12 @@ const DeltaMediaType = "application/vnd.tmserve.delta+json"
 // stream cannot pin a waiter forever.
 const DefaultLongPollTimeout = 30 * time.Second
 
-// Backend is the tenant collection a Server reads through: the fleet
-// lifecycle handles plus the fleet-level health view. *fleet.Fleet is
-// the in-process implementation; the interface exists so a server can
-// front any set of lifecycle handles — which is what makes the serving
-// layer indifferent to where tenants actually run.
+// Backend is the tenant collection a Server reads through: the fleet's
+// serving handles plus the fleet-level health view. *fleet.Fleet is
+// the implementation; the interface lets a server front any set of
+// handles (tests use stubs).
 type Backend interface {
-	// Handles returns every tenant's lifecycle handle in declaration
+	// Handles returns every tenant's serving handle in declaration
 	// order.
 	Handles() []fleet.Handle
 	// Handle looks a tenant's handle up by name.
@@ -347,12 +346,7 @@ func (s *Server) handleV1Tenant(w http.ResponseWriter, r *http.Request) {
 			unknown()
 			return
 		}
-		cp, err := t.Checkpoint()
-		if err != nil {
-			writeV1Error(w, http.StatusBadGateway, "checkpoint_failed", err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, cp)
+		writeJSON(w, http.StatusOK, t.Checkpoint())
 	default:
 		unknown()
 	}

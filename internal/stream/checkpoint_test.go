@@ -17,7 +17,7 @@ import (
 // runReplay drives an engine over a deterministic replay for the given
 // cycles, waits until every interval has been published, and shuts it
 // down.
-func runReplay(t *testing.T, sc *netsim.Scenario, eng *Engine, cycles int) {
+func runReplay(t testing.TB, sc *netsim.Scenario, eng *Engine, cycles int) {
 	t.Helper()
 	runReplayResolve(t, sc, eng, cycles, -1)
 }
@@ -25,7 +25,7 @@ func runReplay(t *testing.T, sc *netsim.Scenario, eng *Engine, cycles int) {
 // runReplayResolve is runReplay that additionally waits, before it
 // shuts the engine down, for a published re-solve covering resolveIv or
 // later (-1 skips the wait).
-func runReplayResolve(t *testing.T, sc *netsim.Scenario, eng *Engine, cycles, resolveIv int) {
+func runReplayResolve(t testing.TB, sc *netsim.Scenario, eng *Engine, cycles, resolveIv int) {
 	t.Helper()
 	store := collector.NewStore(sc.Net.NumPairs())
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)

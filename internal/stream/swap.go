@@ -21,9 +21,13 @@ type pendingSwap struct {
 // onward the engine ingests, re-solves and checkpoints against rt,
 // tagged as topology epoch. The swap applies lazily when the engine's
 // own cursor reaches at (a feed never has to wait for consumption to
-// catch up before announcing a topology change); at <= the current
-// cursor applies immediately — in particular at 0 before Run, which is
-// how a restored tenant is moved onto its checkpointed epoch.
+// catch up before announcing a topology change). A swap at an interval
+// already consumed applies immediately, and so does one at 0 — before
+// Run, that is how a restored tenant is moved onto its checkpointed
+// epoch. A swap at the cursor itself (the next interval, not yet
+// consumed) stays queued until that interval is consumed, so the
+// engine, its snapshot and its checkpoint keep reporting the epoch the
+// consumed intervals were measured under.
 //
 // An effective swap re-expands the window: every ring interval's link
 // loads and the running load sums are recomputed under rt (the
@@ -64,7 +68,7 @@ func (e *Engine) SwapRouting(rt *topology.Routing, epoch, at int) error {
 		}
 	}
 	sw := pendingSwap{at: at, epoch: epoch, rt: rt}
-	if at <= e.next {
+	if at < e.next || at == 0 {
 		e.applySwapLocked(sw)
 		return nil
 	}

@@ -345,3 +345,70 @@ func TestCheckpointCarriesTopologyEpoch(t *testing.T) {
 	cancel()
 	<-done
 }
+
+// TestRestoredSwapAtCursorWaitsForItsInterval pins the re-arm rule a
+// restored host relies on: a swap scheduled at the restored cursor k
+// (interval k not consumed yet) must not move the engine onto the new
+// epoch before interval k is consumed — otherwise the engine reports an
+// epoch its snapshot and checkpoint do not carry.
+func TestRestoredSwapAtCursorWaitsForItsInterval(t *testing.T) {
+	sc, err := netsim.BuildEurope(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := failedRouting(t, sc.Net)
+	cfg := Config{Window: 4, ResolveEvery: 3}
+
+	h := newSwapHarness(t, sc, sc.Rt, cfg)
+	h.feed(0, 6)
+	cp := h.eng.Checkpoint()
+	const k = 6
+	if cp.Next != k || cp.TopologyEpoch != 0 {
+		t.Fatalf("checkpoint cursor %d epoch %d, want %d and 0", cp.Next, cp.TopologyEpoch, k)
+	}
+
+	cfg.ResolveDispatch = func() {}
+	eng, err := New(sc.Rt, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SwapRouting(failed, 1, k); err != nil {
+		t.Fatal(err)
+	}
+	epochs := func(when string, want int) {
+		t.Helper()
+		snap, _ := eng.Latest()
+		if got := eng.TopologyEpoch(); got != want {
+			t.Fatalf("%s: engine on epoch %d, want %d", when, got, want)
+		}
+		if snap.TopologyEpoch != want {
+			t.Fatalf("%s: snapshot on epoch %d, want %d", when, snap.TopologyEpoch, want)
+		}
+		if got := eng.Checkpoint().TopologyEpoch; got != want {
+			t.Fatalf("%s: checkpoint on epoch %d, want %d", when, got, want)
+		}
+	}
+	epochs("armed at the cursor", 0)
+
+	store := collector.NewStore(sc.Net.NumPairs())
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- eng.Run(ctx, store) }()
+	for p, mbps := range sc.Series.Demands[k%len(sc.Series.Demands)] {
+		store.Ingest(collector.RateRecord{LSP: p, Interval: k, RateMbps: mbps, Poller: "swap-test"})
+	}
+	snap, err := eng.WaitVersion(ctx, cp.Snapshot.Version+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Interval != k {
+		t.Fatalf("published interval %d, want %d", snap.Interval, k)
+	}
+	epochs("interval k consumed", 1)
+	cancel()
+	<-done
+}

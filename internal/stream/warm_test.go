@@ -11,7 +11,7 @@ import (
 
 // waitResolve polls until a re-solve of the given interval has been
 // published and returns the snapshot carrying it.
-func waitResolve(t *testing.T, eng *Engine, ctx context.Context, interval int) Snapshot {
+func waitResolve(t testing.TB, eng *Engine, ctx context.Context, interval int) Snapshot {
 	t.Helper()
 	for v := uint64(1); ; {
 		snap, err := eng.WaitVersion(ctx, v)
