@@ -15,12 +15,14 @@ test-short:
 	$(GO) test -short -race ./...
 
 # Concurrency stress, as run by CI's stress job: the goroutine-heavy
-# packages repeated under the race detector, then 10 s of fuzzing the
-# checkpoint decoder (-fuzzminimizetime caps the shrinking of each new
-# corpus entry, which at the default 60 s would eat the whole budget).
+# packages repeated under the race detector, then 10 s each of fuzzing
+# the checkpoint decoder and the delta codec (-fuzzminimizetime caps the
+# shrinking of each new corpus entry, which at the default 60 s would
+# eat the whole budget).
 stress:
 	$(GO) test -race -count=10 ./internal/stream/ ./internal/fleet/ ./internal/serve/ ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointRestore -fuzztime 10s -fuzzminimizetime 200x ./internal/stream/
+	$(GO) test -run '^$$' -fuzz FuzzDeltaApply -fuzztime 10s -fuzzminimizetime 200x ./internal/serve/
 
 # Full driver-by-driver benchmarks plus the serial-vs-parallel suite
 # comparison. Narrow with e.g. BENCH='FullSuite'.
@@ -53,13 +55,14 @@ bench-baseline:
 	@echo "wrote $(BASELINE)"
 
 # Benchmark regression gate, as run by CI's bench job: the scale
-# benchmarks plus two seed-era anchors, compared against the checked-in
+# benchmarks, the streaming, fleet, serve and scrape anchors plus two
+# seed-era anchors, compared against the checked-in
 # baseline at a 2x ns/op threshold and — via -benchmem — a 2x allocs/op
 # threshold (cmd/benchdiff).
 # (No tee: the recipe must fail on go test's exit code, not the pipe
 # tail's, so a b.Fatal mid-run cannot produce a green partial gate.)
 bench-check:
-	$(GO) test -timeout 30m -bench 'Scale|Table1Vardi|ScenarioBuild|StreamResolve|FleetResolveFanout|SnapshotFanout|TimelineSwap|PromScrape' -benchtime 1x -benchmem -run '^$$' . > bench-check.out
+	$(GO) test -timeout 30m -bench 'Scale|Table1Vardi|ScenarioBuild|StreamResolve|FleetResolveFanout|SnapshotFanout|ServeEntry|TimelineSwap|PromScrape' -benchtime 1x -benchmem -run '^$$' . > bench-check.out
 	$(GO) run ./cmd/benchdiff -factor 2 -alloc-factor 2 -baseline $(BASELINE) bench-check.out
 	@rm -f bench-check.out
 

@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -656,6 +657,59 @@ func BenchmarkSnapshotFanout(b *testing.B) {
 	requests := uint64(clients) * uint64(b.N)
 	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(requests), "allocs/req")
 	b.ReportMetric(float64(requests)/b.Elapsed().Seconds(), "clients/s")
+}
+
+// BenchmarkServeEntry100 is the serve layer's anchor on a 100-PoP
+// tenant (9900 pairs) where every coordinate moved since the previous
+// publication, as on every gravity refresh:
+//   - encode: NewEntry with a predecessor, the hub loop's per-publication
+//     work (the JSON body plus the delta attempt, which cannot fit);
+//   - gzip: the first Entry.Gzip() on a fresh entry, the cost the first
+//     gzip-accepting reader of each version pays.
+func BenchmarkServeEntry100(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	vec := func() linalg.Vector {
+		v := linalg.NewVector(9900)
+		for i := range v {
+			v[i] = rng.ExpFloat64() * 100
+		}
+		return v
+	}
+	prev := stream.Snapshot{
+		Version: 1, Interval: 1, Window: 6, Covered: 9900,
+		Gravity: vec(), Mean: vec(), Fanouts: vec(),
+		Time: time.Unix(1700000000, 0).UTC(),
+	}
+	next := prev
+	next.Version, next.Interval, next.Time = 2, 2, prev.Time.Add(5*time.Minute)
+	next.Gravity, next.Mean, next.Fanouts = vec(), vec(), vec()
+
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e, err := serve.NewEntry(next, &prev, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if e.Delta != nil {
+				b.Fatal("an every-coordinate change kept its delta")
+			}
+		}
+	})
+	b.Run("gzip", func(b *testing.B) {
+		e, err := serve.NewEntry(next, nil, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		(&serve.Entry{JSON: e.JSON}).Gzip() // steady state: a pooled writer exists
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if len((&serve.Entry{JSON: e.JSON}).Gzip()) == 0 {
+				b.Fatal("empty gzip body")
+			}
+		}
+	})
 }
 
 // BenchmarkTimelineSwap measures the mid-stream routing hot-swap path:

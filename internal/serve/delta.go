@@ -15,6 +15,8 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
 	"time"
 
 	"repro/internal/linalg"
@@ -80,13 +82,17 @@ type Delta struct {
 	ResolveNil bool `json:"resolve_nil,omitempty"`
 }
 
+// sameBits reports whether two coordinates encode identically: bit
+// equality, so 0 and -0 (which marshal as "0" and "-0") differ.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
 // diffVec computes the sparse patch turning prev into next, nil when
-// they are identical (same length, same values).
+// they are identical (same length, same bits).
 func diffVec(prev, next linalg.Vector) *VecPatch {
 	if len(prev) == len(next) {
 		same := true
 		for i := range next {
-			if prev[i] != next[i] {
+			if !sameBits(prev[i], next[i]) {
 				same = false
 				break
 			}
@@ -101,7 +107,7 @@ func diffVec(prev, next linalg.Vector) *VecPatch {
 		if i < len(prev) {
 			base = prev[i]
 		}
-		if next[i] != base {
+		if !sameBits(next[i], base) {
 			p.I = append(p.I, i)
 			p.V = append(p.V, next[i])
 		}
@@ -243,18 +249,77 @@ func Apply(base stream.Snapshot, d *Delta) (stream.Snapshot, error) {
 // encoding (fullSize), e.g. after a re-solve landed (every coordinate
 // moved) or a topology swap resized the vectors. Callers then fall back
 // to the full snapshot, which is the correct wire choice exactly then.
+// A delta that is returned is exactly json.Marshal(ComputeDelta(prev,
+// next)); one that cannot fit is dropped before it is built.
 func EncodeDelta(prev, next stream.Snapshot, fullSize int, ratio float64) []byte {
 	if ratio <= 0 {
 		ratio = DefaultDeltaRatio
+	}
+	limit := ratio * float64(fullSize)
+	if float64(deltaLenBound(prev, next, limit)) > limit {
+		return nil
 	}
 	data, err := json.Marshal(ComputeDelta(prev, next))
 	if err != nil {
 		return nil // a snapshot that fails to marshal never got here
 	}
-	if float64(len(data)) > ratio*float64(fullSize) {
+	if float64(len(data)) > limit {
 		return nil
 	}
 	return data
+}
+
+// deltaLenBound walks the coordinates ComputeDelta would patch, keeping
+// a lower bound on the encoded delta's length: each changed coordinate
+// costs at least its index digits and its value as encoding/json writes
+// it, each followed by a comma or the closing bracket of the patch's
+// "i" or "v" array. It stops as soon as the bound passes limit, so a
+// delta that cannot fit is never built or marshalled. The bound never
+// exceeds len(json.Marshal(ComputeDelta(prev, next))), so every delta
+// it rejects would also have failed the size check after marshalling.
+func deltaLenBound(prev, next stream.Snapshot, limit float64) int {
+	vecs := [][2]linalg.Vector{{prev.Gravity, next.Gravity}, {prev.Mean, next.Mean}, {prev.Fanouts, next.Fanouts}}
+	if next.Resolve != nil {
+		vecs = append(vecs, [2]linalg.Vector{prev.Resolve, next.Resolve})
+	}
+	bound := 0
+	var scratch [32]byte
+	for _, pv := range vecs {
+		base, vec := pv[0], pv[1]
+		for i, v := range vec {
+			var was float64
+			if i < len(base) {
+				was = base[i]
+			}
+			if sameBits(v, was) {
+				continue
+			}
+			bound += len(strconv.AppendInt(scratch[:0], int64(i), 10)) + len(appendJSONFloat(scratch[:0], v)) + 2
+			if float64(bound) > limit {
+				return bound
+			}
+		}
+	}
+	return bound
+}
+
+// appendJSONFloat appends f exactly as encoding/json encodes a float64:
+// shortest 'f' formatting, switching to 'e' below 1e-6 and from 1e21
+// up, with a two-digit negative exponent trimmed to one (e-07 → e-7).
+func appendJSONFloat(b []byte, f float64) []byte {
+	abs := math.Abs(f)
+	format := byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 // DecodeDelta parses one encoded delta.

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
 	"encoding/json"
+	"io"
 	"sync"
 	"testing"
 	"time"
@@ -330,7 +333,22 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-// TestEntryGzip: the gzip body is computed once and round-trips.
+// gunzip inflates one gzip body.
+func gunzip(t *testing.T, gz []byte) []byte {
+	t.Helper()
+	zr, err := gzip.NewReader(bytes.NewReader(gz))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestEntryGzip: the gzip body is computed once and round-trips to the
+// JSON body byte for byte.
 func TestEntryGzip(t *testing.T) {
 	e, err := NewEntry(hubSnap(1), nil, 0)
 	if err != nil {
@@ -343,5 +361,58 @@ func TestEntryGzip(t *testing.T) {
 	}
 	if &gz1[0] != &gz2[0] {
 		t.Fatal("gzip recomputed per call")
+	}
+	if !bytes.Equal(gunzip(t, gz1), e.JSON) {
+		t.Fatal("gzip body does not inflate to the JSON body")
+	}
+}
+
+// TestEntryGzipConcurrent: entries of different sizes compressing at
+// once through the shared writer pool, round after round, each inflate
+// to their own JSON — no writer state leaks from one entry to another,
+// and concurrent callers of one entry share a single encoding.
+func TestEntryGzipConcurrent(t *testing.T) {
+	const callers = 3
+	sizes := []int{4, 300, 3000}
+	for round := 0; round < 4; round++ {
+		var entries []*Entry
+		for k := 0; k < 2; k++ {
+			for _, n := range sizes {
+				v := linalg.NewVector(n)
+				for i := range v {
+					v[i] = float64(round*1000+k*100+i) * 0.37
+				}
+				e, err := NewEntry(stream.Snapshot{
+					Version: uint64(len(entries) + 1), Gravity: v, Mean: v, Fanouts: v,
+					Time: time.Unix(1700000000, 0).UTC(),
+				}, nil, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				entries = append(entries, e)
+			}
+		}
+		got := make([][callers][]byte, len(entries))
+		var wg sync.WaitGroup
+		for i, e := range entries {
+			for c := 0; c < callers; c++ {
+				wg.Add(1)
+				go func(i, c int, e *Entry) {
+					defer wg.Done()
+					got[i][c] = e.Gzip()
+				}(i, c, e)
+			}
+		}
+		wg.Wait()
+		for i, e := range entries {
+			for c := 1; c < callers; c++ {
+				if &got[i][c][0] != &got[i][0][0] {
+					t.Fatalf("round %d entry %d: concurrent callers got different encodings", round, i)
+				}
+			}
+			if !bytes.Equal(gunzip(t, got[i][0]), e.JSON) {
+				t.Fatalf("round %d entry %d (%d pairs): gzip body does not inflate to its own JSON", round, i, len(e.JSON))
+			}
+		}
 	}
 }
